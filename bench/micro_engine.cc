@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -34,6 +35,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "oracle/failure_scan.h"
 #include "routing/dijkstra.h"
 #include "runner/json.h"
 #include "sim/paper.h"
@@ -86,6 +88,32 @@ class Timer {
   double min_time_s_;
 };
 
+/// Offers `count` random 1 Mbps D-LSR requests to `net`, publishing to
+/// `db` before each; returns the ids admitted.
+std::vector<ConnId> LoadConnections(const net::Topology& topo,
+                                    core::DrtpNetwork& net,
+                                    lsdb::LinkStateDb& db, std::uint64_t seed,
+                                    int count) {
+  core::Dlsr scheme;
+  Rng rng(seed);
+  std::vector<ConnId> ids;
+  const auto nodes = static_cast<std::size_t>(topo.num_nodes());
+  for (ConnId id = 0; id < count; ++id) {
+    const NodeId src = static_cast<NodeId>(rng.Index(nodes));
+    NodeId dst = static_cast<NodeId>(rng.Index(nodes));
+    if (dst == src) dst = (dst + 1) % topo.num_nodes();
+    net.PublishTo(db, 0.0);
+    auto sel = scheme.SelectRoutes(net, db, src, dst, Mbps(1));
+    if (sel.primary &&
+        net.EstablishConnection(id, *sel.primary, Mbps(1), 0.0)) {
+      if (sel.backup) net.RegisterBackup(id, *sel.backup);
+      ids.push_back(id);
+    }
+  }
+  net.PublishTo(db, 0.0);
+  return ids;
+}
+
 /// The shared fixture: the paper's 60-node topology loaded with ~300
 /// protected connections, so APLVs, spare pools and the reverse indexes
 /// are all non-trivial.
@@ -93,24 +121,8 @@ struct LoadedNet {
   explicit LoadedNet(std::uint64_t seed)
       : topo(sim::MakePaperTopology(3.0, 1)),
         net(topo),
-        db(topo.num_links(), topo.num_links()) {
-    core::Dlsr scheme;
-    Rng rng(seed);
-    const auto nodes = static_cast<std::size_t>(topo.num_nodes());
-    for (ConnId id = 0; id < 300; ++id) {
-      const NodeId src = static_cast<NodeId>(rng.Index(nodes));
-      NodeId dst = static_cast<NodeId>(rng.Index(nodes));
-      if (dst == src) dst = (dst + 1) % topo.num_nodes();
-      net.PublishTo(db, 0.0);
-      auto sel = scheme.SelectRoutes(net, db, src, dst, Mbps(1));
-      if (sel.primary &&
-          net.EstablishConnection(id, *sel.primary, Mbps(1), 0.0)) {
-        if (sel.backup) net.RegisterBackup(id, *sel.backup);
-        conn_ids.push_back(id);
-      }
-    }
-    net.PublishTo(db, 0.0);
-  }
+        db(topo.num_links(), topo.num_links()),
+        conn_ids(LoadConnections(topo, net, db, seed, 300)) {}
 
   net::Topology topo;
   core::DrtpNetwork net;
@@ -185,7 +197,7 @@ std::vector<KernelResult> RunSuite(LoadedNet& fx, double min_time_s,
 
   // --- single-link failure sweep -----------------------------------------
   out.push_back(timer.Measure("failure_sweep_scan", [&] {
-    DoNotOptimize(core::EvaluateAllSingleLinkFailuresScan(fx.net));
+    DoNotOptimize(oracle::EvaluateAllSingleLinkFailuresScan(fx.net));
   }));
   out.push_back(timer.Measure("failure_sweep_indexed", [&] {
     DoNotOptimize(core::EvaluateAllSingleLinkFailures(fx.net));
@@ -518,6 +530,20 @@ std::vector<KernelResult> RunLargeSuite(double min_time_s,
         DoNotOptimize(cv.AndPopCount(mask));
       }));
     }
+
+    // --- single-link failure sweep on a loaded 1k graph --------------------
+    // A separate network, so the rows above keep timing the idle fixture.
+    if (std::string_view(s.tag) == "1k") {
+      core::DrtpNetwork loaded(topo);
+      lsdb::LinkStateDb loaded_db(num_links, num_links);
+      (void)LoadConnections(topo, loaded, loaded_db, seed + 14, 1000);
+      out.push_back(timer.Measure(name("failure_sweep_scan"), [&] {
+        DoNotOptimize(oracle::EvaluateAllSingleLinkFailuresScan(loaded));
+      }));
+      out.push_back(timer.Measure(name("failure_sweep_indexed"), [&] {
+        DoNotOptimize(core::EvaluateAllSingleLinkFailures(loaded));
+      }));
+    }
   }
   return out;
 }
@@ -573,6 +599,7 @@ int Validate(const std::vector<KernelResult>& results) {
       "dijkstra_adjlist_1k", "dijkstra_csr_1k",     "dijkstra_radix_1k",
       "minhop_binary_1k",    "minhop_radix_1k",     "aplv_update_1k",
       "cv_count_in_1k",      "cv_and_popcount_1k",
+      "failure_sweep_scan_1k", "failure_sweep_indexed_1k",
       "dijkstra_adjlist_10k", "dijkstra_csr_10k",   "dijkstra_radix_10k",
       "minhop_binary_10k",   "minhop_radix_10k",    "aplv_update_10k",
       "cv_count_in_10k",     "cv_and_popcount_10k",

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <span>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/error.h"
@@ -12,250 +13,347 @@
 namespace drtp::core {
 namespace {
 
-/// The set of links taken down by failing `l` (one, or both halves of the
-/// duplex pair under duplex_failures).
-std::vector<LinkId> FailedSet(const DrtpNetwork& net, LinkId l) {
-  std::vector<LinkId> failed{l};
-  if (net.config().duplex_failures) {
-    const LinkId rev = net.topology().link(l).reverse;
-    if (rev != kInvalidLink) failed.push_back(rev);
-  }
-  return failed;
-}
-
 bool UsesAny(const routing::Path& path, std::span<const LinkId> links) {
   return std::any_of(links.begin(), links.end(),
                      [&](LinkId l) { return path.Contains(l); });
 }
 
-int Occurrences(const routing::Path& path, LinkId link) {
-  int n = 0;
-  for (LinkId l : path.links()) {
-    if (l == link) ++n;
-  }
-  return n;
-}
-
-/// True iff `links[i]` did not already appear at an earlier position —
-/// capacity checks visit each distinct link of a path exactly once.
-bool FirstOccurrence(std::span<const LinkId> links, std::size_t i) {
-  for (std::size_t k = 0; k < i; ++k) {
-    if (links[k] == links[i]) return false;
-  }
-  return true;
-}
-
-/// Whether promoting `backup` can succeed for a connection whose current
-/// primary is `primary`: ActivateBackup releases the old primary and then
-/// force-reserves the promoted route from spare+free (= total − prime),
-/// so per distinct link the pool plus the connection's own primary
-/// release must cover the promoted route's demand. `available` maps a
-/// link to its spare+free bandwidth (live ledger or what-if scratch).
-template <typename AvailableFn>
-bool ActivationFits(const routing::Path& backup, const routing::Path& primary,
-                    Bandwidth bw, AvailableFn&& available) {
-  const std::span<const LinkId> links = backup.links();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const LinkId l = links[i];
-    if (!FirstOccurrence(links, i)) continue;
-    const Bandwidth credit = bw * Occurrences(primary, l);
-    const Bandwidth need = bw * Occurrences(backup, l);
-    if (available(l) + credit < need) return false;
-  }
-  return true;
-}
-
-/// Reusable scratch for the failure sweep: per-link remaining-bandwidth
-/// array invalidated by epoch stamp (no O(num_links) clear between links)
-/// plus a merge buffer for affected connection ids.
-struct EvalScratch {
-  explicit EvalScratch(int num_links)
-      : remaining(static_cast<std::size_t>(num_links), 0),
-        stamp(static_cast<std::size_t>(num_links), 0) {}
-
-  std::vector<Bandwidth> remaining;
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-  std::vector<ConnId> affected;
+/// One distinct link of a backup route as its promotion sees it: the
+/// promotion fits only if the link has at least `demand` = need − credit
+/// spare+free bandwidth left, where need is bw × the link's occurrences
+/// on the backup and credit bw × its occurrences on the primary.
+struct LinkDemand {
+  LinkId link;
+  Bandwidth demand;
 };
 
-/// Ascending-id union of the primaries crossing each failed link, built
-/// from the network's reverse index into `scratch.affected`. Matches the
-/// id-order the full table scan visits affected connections in.
+/// Per-link occurrence counters for ActivationDemands; all zero between
+/// calls.
+using LinkCounts = std::vector<int>;
+
+/// The activation rule, shared by the what-if evaluation and the enacted
+/// switchover. ActivateBackup releases the old primary and then
+/// force-reserves the promoted route from spare+free (= total − prime), so
+/// per distinct link the pool plus the connection's own primary release
+/// must cover the promoted route's demand. Appends one LinkDemand per
+/// distinct link of `backup`, in first-occurrence order, in O(hops).
+void ActivationDemands(const routing::Path& backup,
+                       const routing::Path& primary, Bandwidth bw,
+                       LinkCounts& counts, std::vector<LinkDemand>& out) {
+  constexpr int kListed = std::numeric_limits<int>::min();
+  const auto at = [&](LinkId l) -> int& {
+    return counts[static_cast<std::size_t>(l)];
+  };
+  for (LinkId l : backup.links()) ++at(l);
+  for (LinkId l : primary.links()) --at(l);
+  for (LinkId l : backup.links()) {
+    if (at(l) == kListed) continue;
+    out.push_back({l, bw * at(l)});
+    at(l) = kListed;
+  }
+  for (LinkId l : backup.links()) at(l) = 0;
+  for (LinkId l : primary.links()) at(l) = 0;
+}
+
+/// Whether a promotion with these demands fits; `available` maps a link to
+/// its spare+free bandwidth (live ledger or what-if scratch).
+template <typename AvailableFn>
+bool Fits(std::span<const LinkDemand> demands, AvailableFn&& available) {
+  return std::all_of(demands.begin(), demands.end(), [&](const LinkDemand& d) {
+    return available(d.link) >= d.demand;
+  });
+}
+
+/// Ascending-id union of the primaries crossing each failed link, from the
+/// network's reverse index — the order contention is resolved in.
 void CollectAffectedPrimaries(const DrtpNetwork& net,
                               std::span<const LinkId> failed_set,
                               std::vector<ConnId>& out) {
   out.clear();
-  if (failed_set.size() == 1) {
-    const auto conns = net.PrimaryConnsOn(failed_set[0]);
-    out.assign(conns.begin(), conns.end());
-    return;
-  }
   for (LinkId l : failed_set) {
     const auto conns = net.PrimaryConnsOn(l);
     out.insert(out.end(), conns.begin(), conns.end());
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  if (failed_set.size() > 1) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
 }
 
-FailureImpact EvaluateLinkFailureWith(const DrtpNetwork& net,
-                                      std::span<const LinkId> failed_set,
-                                      EvalScratch& scratch,
-                                      FailureImpactDetail* detail = nullptr) {
-  // Affected connections in id order; the paper leaves contention order
-  // unspecified, id order keeps it deterministic across schemes.
-  FailureImpact impact;
-  CollectAffectedPrimaries(net, failed_set, scratch.affected);
-  if (scratch.affected.empty()) return impact;
-
-  // Remaining bandwidth each link can devote to activations: the spare
-  // pool plus whatever is still free. Lazily initialized per epoch.
-  ++scratch.epoch;
-  const auto available = [&](LinkId l) -> Bandwidth& {
-    const auto i = static_cast<std::size_t>(l);
-    if (scratch.stamp[i] != scratch.epoch) {
-      scratch.stamp[i] = scratch.epoch;
-      scratch.remaining[i] = net.ledger().spare(l) + net.ledger().free(l);
+/// Flat image of what the what-if evaluation reads from the connection
+/// table, filled by one ordered pass and reused between calls. Each
+/// connection is a slot (slots ascend with connection id); each backup a
+/// record holding its links, an all-links-up flag and its LinkDemands.
+/// The link → slot CSR lists, per link, the slots whose primary crosses
+/// it, ascending — the contention order.
+class FailureImage {
+ public:
+  /// Images every connection of `net`, with the CSR.
+  void BuildAll(const DrtpNetwork& net) {
+    Reset(net);
+    const auto num_links = static_cast<std::size_t>(net.topology().num_links());
+    bucket_begin_.assign(num_links + 1, 0);
+    for (std::size_t l = 0; l < num_links; ++l) {
+      bucket_begin_[l + 1] =
+          bucket_begin_[l] +
+          static_cast<std::uint32_t>(
+              net.PrimaryConnsOn(static_cast<LinkId>(l)).size());
     }
-    return scratch.remaining[i];
-  };
+    bucket_slots_.resize(bucket_begin_[num_links]);
+    cursor_.assign(bucket_begin_.begin(), bucket_begin_.end() - 1);
+    for (const auto& [id, conn] : net.connections()) {
+      const std::uint32_t slot = Append(net, conn);
+      for (LinkId l : conn.primary_lset) {
+        bucket_slots_[cursor_[static_cast<std::size_t>(l)]++] = slot;
+      }
+    }
+    for (std::size_t l = 0; l < num_links; ++l) {
+      DRTP_DCHECK(cursor_[l] == bucket_begin_[l + 1]);
+    }
+  }
 
-  for (ConnId id : scratch.affected) {
-    const DrConnection* conn = net.Find(id);
-    DRTP_DCHECK(conn != nullptr);
-    ++impact.attempts;
-    // Mirror ApplyLinkSetFailure's channel switching exactly: a backup is
-    // chosen iff it avoids the failure, every link survives (including
-    // ones already down from earlier failures), and the promotion fits
-    // once the connection's own primary release is credited. Whether the
-    // connection switches or drops, its old primary's bandwidth returns
-    // to the pool before later connections contend, in id order.
-    const routing::Path* chosen = nullptr;
-    for (const routing::Path& backup : conn->backups) {
-      if (UsesAny(backup, failed_set)) continue;
-      bool up = true;
-      for (LinkId l : backup.links()) {
-        if (!net.IsLinkUp(l)) {
-          up = false;
+  /// Images just `ids` (ascending) and returns their slots; no CSR.
+  std::span<const std::uint32_t> BuildFor(const DrtpNetwork& net,
+                                          std::span<const ConnId> ids) {
+    Reset(net);
+    merged_.clear();
+    for (ConnId id : ids) {
+      const DrConnection* conn = net.Find(id);
+      DRTP_DCHECK(conn != nullptr);
+      merged_.push_back(Append(net, *conn));
+    }
+    return merged_;
+  }
+
+  /// Slots whose primary crosses any link of `failed_set`, ascending.
+  std::span<const std::uint32_t> SlotsOn(std::span<const LinkId> failed_set) {
+    if (failed_set.size() == 1) return Bucket(failed_set[0]);
+    DRTP_DCHECK(failed_set.size() == 2);
+    const auto a = Bucket(failed_set[0]);
+    const auto b = Bucket(failed_set[1]);
+    merged_.clear();
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(merged_));
+    return merged_;
+  }
+
+  /// Fails `failed_set` hypothetically for the connections in `slots`.
+  /// Contention follows the slot order: each connection takes the first
+  /// backup that has every link up, avoids the failure and fits, and —
+  /// switched or dropped — returns its old primary's bandwidth to the
+  /// pool before the next one contends. For the call the failed links'
+  /// remainders are kFailedLink, so the fit check alone turns away the
+  /// backups crossing them; on return every remainder is the pool again.
+  FailureImpact Evaluate(std::span<const std::uint32_t> slots,
+                         std::span<const LinkId> failed_set,
+                         FailureImpactDetail* detail) {
+    FailureImpact impact;
+    if (slots.empty()) return impact;
+    const auto remaining = [&](LinkId l) -> Bandwidth& {
+      return remaining_[static_cast<std::size_t>(l)];
+    };
+    for (LinkId l : failed_set) remaining(l) = kFailedLink;
+    chosen_.clear();
+    for (const std::uint32_t slot : slots) {
+      std::uint32_t chosen = kNone;
+      for (std::uint32_t b = backup_begin_[slot]; b < backup_begin_[slot + 1];
+           ++b) {
+        if (all_up_[b] && Fits(Range(demands_, demand_begin_, b), remaining)) {
+          chosen = b;
           break;
         }
       }
-      if (!up) continue;
-      if (!ActivationFits(backup, conn->primary, conn->bw, available)) {
-        continue;
+      chosen_.push_back(chosen);
+      const Bandwidth bw = bw_[slot];
+      for (LinkId l : Range(primary_links_, primary_begin_, slot)) {
+        remaining(l) += bw;
       }
-      chosen = &backup;
-      break;
+      if (chosen != kNone) {
+        for (LinkId l : Range(backup_links_, links_begin_, chosen)) {
+          remaining(l) -= bw;
+        }
+        ++impact.activated;
+      }
+      if (detail != nullptr) {
+        (chosen != kNone ? detail->activated : detail->dropped)
+            .push_back(ids_[slot]);
+      }
     }
-    for (LinkId l : conn->primary.links()) available(l) += conn->bw;
-    if (chosen != nullptr) {
-      for (LinkId l : chosen->links()) available(l) -= conn->bw;
-      ++impact.activated;
+    impact.attempts = static_cast<int>(slots.size());
+    // Reset every remainder this call touched.
+    const auto reset = [&](LinkId l) {
+      remaining(l) = pool_[static_cast<std::size_t>(l)];
+    };
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      for (LinkId l : Range(primary_links_, primary_begin_, slots[i])) {
+        reset(l);
+      }
+      if (chosen_[i] == kNone) continue;
+      for (LinkId l : Range(backup_links_, links_begin_, chosen_[i])) {
+        reset(l);
+      }
     }
-    if (detail != nullptr) {
-      (chosen != nullptr ? detail->activated : detail->dropped).push_back(id);
-    }
+    for (LinkId l : failed_set) reset(l);
+    return impact;
   }
-  return impact;
+
+ private:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Remainder of a failed link: below any demand, however many primary
+  /// releases are added to it.
+  static constexpr Bandwidth kFailedLink =
+      std::numeric_limits<Bandwidth>::min() / 2;
+
+  template <typename T>
+  static std::span<const T> Range(const std::vector<T>& items,
+                                  const std::vector<std::uint32_t>& begin,
+                                  std::uint32_t i) {
+    return std::span<const T>(items).subspan(begin[i],
+                                             begin[i + 1] - begin[i]);
+  }
+
+  std::span<const std::uint32_t> Bucket(LinkId l) const {
+    return Range(bucket_slots_, bucket_begin_, static_cast<std::uint32_t>(l));
+  }
+
+  void Reset(const DrtpNetwork& net) {
+    ids_.clear();
+    bw_.clear();
+    primary_begin_.assign(1, 0);
+    primary_links_.clear();
+    backup_begin_.assign(1, 0);
+    links_begin_.assign(1, 0);
+    backup_links_.clear();
+    demand_begin_.assign(1, 0);
+    demands_.clear();
+    all_up_.clear();
+    const auto num_links = static_cast<std::size_t>(net.topology().num_links());
+    pool_.resize(num_links);
+    for (std::size_t l = 0; l < num_links; ++l) {
+      const auto link = static_cast<LinkId>(l);
+      pool_[l] = net.ledger().spare(link) + net.ledger().free(link);
+    }
+    remaining_ = pool_;
+    counts_.resize(num_links, 0);
+    all_links_up_ = net.down_links().empty();
+  }
+
+  /// Appends `conn` as the next slot.
+  std::uint32_t Append(const DrtpNetwork& net, const DrConnection& conn) {
+    const auto slot = static_cast<std::uint32_t>(ids_.size());
+    ids_.push_back(conn.id);
+    bw_.push_back(conn.bw);
+    const auto links = conn.primary.links();
+    primary_links_.insert(primary_links_.end(), links.begin(), links.end());
+    primary_begin_.push_back(static_cast<std::uint32_t>(primary_links_.size()));
+    for (const routing::Path& backup : conn.backups) {
+      const auto blinks = backup.links();
+      backup_links_.insert(backup_links_.end(), blinks.begin(), blinks.end());
+      links_begin_.push_back(static_cast<std::uint32_t>(backup_links_.size()));
+      all_up_.push_back(all_links_up_ ||
+                        std::all_of(blinks.begin(), blinks.end(),
+                                    [&](LinkId l) { return net.IsLinkUp(l); }));
+      ActivationDemands(backup, conn.primary, conn.bw, counts_, demands_);
+      demand_begin_.push_back(static_cast<std::uint32_t>(demands_.size()));
+    }
+    backup_begin_.push_back(static_cast<std::uint32_t>(all_up_.size()));
+    return slot;
+  }
+
+  // Per slot.
+  std::vector<ConnId> ids_;
+  std::vector<Bandwidth> bw_;
+  std::vector<std::uint32_t> primary_begin_;  // into primary_links_
+  std::vector<LinkId> primary_links_;
+  std::vector<std::uint32_t> backup_begin_;  // into the per-backup arrays
+  // Per backup.
+  std::vector<std::uint32_t> links_begin_;  // into backup_links_
+  std::vector<LinkId> backup_links_;
+  std::vector<std::uint32_t> demand_begin_;  // into demands_
+  std::vector<LinkDemand> demands_;
+  std::vector<char> all_up_;
+  // Link → slot CSR.
+  std::vector<std::uint32_t> bucket_begin_;
+  std::vector<std::uint32_t> bucket_slots_;
+  std::vector<std::uint32_t> cursor_;
+  // Per link: spare+free at build time, and what an evaluation has left
+  // of it (equal to the pool between evaluations).
+  std::vector<Bandwidth> pool_;
+  std::vector<Bandwidth> remaining_;
+  LinkCounts counts_;
+  std::vector<std::uint32_t> merged_;
+  std::vector<std::uint32_t> chosen_;  // per evaluated slot, for the reset
+  bool all_links_up_ = true;
+};
+
+/// One image per thread: the sweep runner evaluates scenarios on a pool.
+FailureImage& Image() {
+  thread_local FailureImage image;
+  return image;
+}
+
+/// The set of links taken down by failing `l` (one, or both halves of the
+/// duplex pair under duplex_failures).
+std::span<const LinkId> FailedSet(const DrtpNetwork& net, LinkId l,
+                                  LinkId (&storage)[2]) {
+  storage[0] = l;
+  std::size_t n = 1;
+  if (net.config().duplex_failures) {
+    const LinkId rev = net.topology().link(l).reverse;
+    if (rev != kInvalidLink) storage[n++] = rev;
+  }
+  return {storage, n};
+}
+
+FailureImpact EvaluateAffected(const DrtpNetwork& net, LinkId failed,
+                               FailureImpactDetail* detail) {
+  LinkId storage[2];
+  const std::span<const LinkId> failed_set = FailedSet(net, failed, storage);
+  std::vector<ConnId> affected;
+  CollectAffectedPrimaries(net, failed_set, affected);
+  if (affected.empty()) return {};
+  FailureImage& image = Image();
+  return image.Evaluate(image.BuildFor(net, affected), failed_set, detail);
 }
 
 }  // namespace
 
 FailureImpact EvaluateLinkFailure(const DrtpNetwork& net, LinkId failed) {
-  const std::vector<LinkId> failed_set = FailedSet(net, failed);
-  EvalScratch scratch(net.topology().num_links());
-  return EvaluateLinkFailureWith(net, failed_set, scratch);
+  return EvaluateAffected(net, failed, nullptr);
 }
 
 FailureImpactDetail EvaluateLinkFailureDetailed(const DrtpNetwork& net,
                                                 LinkId failed) {
-  const std::vector<LinkId> failed_set = FailedSet(net, failed);
-  EvalScratch scratch(net.topology().num_links());
   FailureImpactDetail detail;
-  detail.impact = EvaluateLinkFailureWith(net, failed_set, scratch, &detail);
+  detail.impact = EvaluateAffected(net, failed, &detail);
   return detail;
 }
 
-Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net) {
+Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net,
+                                    std::vector<FailureImpact>* per_link) {
   DRTP_OBS_SPAN("drtp.kernel.failure_sweep");
   Ratio ratio;
   const net::Topology& topo = net.topology();
-  EvalScratch scratch(topo.num_links());
-  LinkId failed_set[2];
+  if (per_link != nullptr) {
+    per_link->assign(static_cast<std::size_t>(topo.num_links()), {});
+  }
+  FailureImage& image = Image();
+  image.BuildAll(net);
+  LinkId storage[2];
   for (LinkId l = 0; l < topo.num_links(); ++l) {
     if (!net.IsLinkUp(l)) continue;
-    std::size_t n = 1;
-    failed_set[0] = l;
+    const std::span<const LinkId> failed_set = FailedSet(net, l, storage);
     // Under duplex failures, count each physical fiber once.
-    if (net.config().duplex_failures) {
-      const LinkId rev = topo.link(l).reverse;
-      if (rev != kInvalidLink) {
-        if (rev < l) continue;
-        failed_set[n++] = rev;
-      }
-    }
+    if (failed_set.size() == 2 && failed_set[1] < l) continue;
     const FailureImpact impact =
-        EvaluateLinkFailureWith(net, {failed_set, n}, scratch);
+        image.Evaluate(image.SlotsOn(failed_set), failed_set, nullptr);
     ratio.AddMany(impact.activated, impact.attempts);
-  }
-  return ratio;
-}
-
-FailureImpact EvaluateLinkFailureScan(const DrtpNetwork& net, LinkId failed) {
-  const std::vector<LinkId> failed_set = FailedSet(net, failed);
-
-  FailureImpact impact;
-  std::unordered_map<LinkId, Bandwidth> remaining;
-  const auto available = [&](LinkId l) -> Bandwidth& {
-    auto [it, fresh] = remaining.try_emplace(l, 0);
-    if (fresh) it->second = net.ledger().spare(l) + net.ledger().free(l);
-    return it->second;
-  };
-
-  // net.connections() is an ordered map, so this visits the affected
-  // connections in the same id order the indexed variant (and the enacted
-  // switchover) resolves contention in.
-  for (const auto& [id, conn] : net.connections()) {
-    if (!UsesAny(conn.primary, failed_set)) continue;
-    ++impact.attempts;
-    const routing::Path* chosen = nullptr;
-    for (const routing::Path& backup : conn.backups) {
-      if (UsesAny(backup, failed_set)) continue;
-      bool up = true;
-      for (LinkId l : backup.links()) {
-        if (!net.IsLinkUp(l)) {
-          up = false;
-          break;
-        }
+    if (per_link != nullptr) {
+      for (LinkId f : failed_set) {
+        (*per_link)[static_cast<std::size_t>(f)] = impact;
       }
-      if (!up) continue;
-      if (!ActivationFits(backup, conn.primary, conn.bw, available)) {
-        continue;
-      }
-      chosen = &backup;
-      break;
     }
-    for (LinkId l : conn.primary.links()) available(l) += conn.bw;
-    if (chosen != nullptr) {
-      for (LinkId l : chosen->links()) available(l) -= conn.bw;
-      ++impact.activated;
-    }
-  }
-  return impact;
-}
-
-Ratio EvaluateAllSingleLinkFailuresScan(const DrtpNetwork& net) {
-  Ratio ratio;
-  const net::Topology& topo = net.topology();
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
-    if (!net.IsLinkUp(l)) continue;
-    if (net.config().duplex_failures) {
-      const LinkId rev = topo.link(l).reverse;
-      if (rev != kInvalidLink && rev < l) continue;
-    }
-    const FailureImpact impact = EvaluateLinkFailureScan(net, l);
-    ratio.AddMany(impact.activated, impact.attempts);
   }
   return ratio;
 }
@@ -343,13 +441,18 @@ SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
   const auto pool = [&](LinkId l) {
     return net.ledger().spare(l) + net.ledger().free(l);
   };
+  LinkCounts counts(static_cast<std::size_t>(net.topology().num_links()), 0);
+  std::vector<LinkDemand> demands;
   for (ConnId id : primary_hit) {
     const DrConnection* conn = net.Find(id);
     DRTP_CHECK(conn != nullptr);
     std::size_t usable = conn->backups.size();
     for (std::size_t i = 0; i < conn->backups.size(); ++i) {
-      if (all_links_up(conn->backups[i]) &&
-          ActivationFits(conn->backups[i], conn->primary, conn->bw, pool)) {
+      if (!all_links_up(conn->backups[i])) continue;
+      demands.clear();
+      ActivationDemands(conn->backups[i], conn->primary, conn->bw, counts,
+                        demands);
+      if (Fits(demands, pool)) {
         usable = i;
         break;
       }

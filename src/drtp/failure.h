@@ -32,6 +32,12 @@ struct FailureImpact {
 /// duplex_failures). Non-mutating. Walks only the connections the
 /// network's link→connection reverse index reports on the failed links,
 /// not the whole connection table.
+///
+/// Affected connections contend in ascending id order: each takes the
+/// first backup that avoids the failure, has every link up and fits into
+/// what is left of spare + free bandwidth, and then, switched or dropped,
+/// returns its old primary's bandwidth to the pool. ApplyLinkSetFailure
+/// enacts the same rule.
 FailureImpact EvaluateLinkFailure(const DrtpNetwork& net, LinkId failed);
 
 /// EvaluateLinkFailure plus the per-connection outcome, for cross-checking
@@ -46,16 +52,17 @@ struct FailureImpactDetail {
 FailureImpactDetail EvaluateLinkFailureDetailed(const DrtpNetwork& net,
                                                 LinkId failed);
 
-/// Aggregates EvaluateLinkFailure over every link; links that disable no
-/// primary contribute nothing. The Ratio's value() is P_bk. Reuses one
-/// scratch workspace across the whole sweep — no per-link allocation.
-Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net);
-
-/// Reference implementations that scan the full connection table per link
-/// (the pre-index algorithm). Kept for the equivalence test suite — the
-/// indexed versions above must produce bit-identical results.
-FailureImpact EvaluateLinkFailureScan(const DrtpNetwork& net, LinkId failed);
-Ratio EvaluateAllSingleLinkFailuresScan(const DrtpNetwork& net);
+/// Aggregates EvaluateLinkFailure over every up link (each duplex pair
+/// once under duplex_failures); links that disable no primary contribute
+/// nothing. The Ratio's value() is P_bk. One ordered pass over the
+/// connection table fills a flat per-thread image that every link's
+/// evaluation reads, so the sweep allocates nothing per link.
+///
+/// When `per_link` is non-null it is resized to num_links and entry l
+/// receives EvaluateLinkFailure(net, l) for every up link l (both halves
+/// of a duplex pair get the pair's impact); down links stay zero.
+Ratio EvaluateAllSingleLinkFailures(
+    const DrtpNetwork& net, std::vector<FailureImpact>* per_link = nullptr);
 
 /// Result of actually failing a link.
 struct SwitchoverReport {

@@ -11,6 +11,7 @@
 #include "drtp/failure.h"
 #include "drtp/network.h"
 #include "net/generators.h"
+#include "oracle/failure_scan.h"
 
 namespace drtp::core {
 namespace {
@@ -301,6 +302,39 @@ TEST(EvaluateApplyCrossCheck, WhatIfMatchesEnactedSwitchover) {
   }
 }
 
+TEST(EvaluateApplyCrossCheck, BackupOverDownLinkCannotActivate) {
+  // SetLinkDown leaves registered backups in place. A backup crossing a
+  // link that is already down must not be promoted by the what-if (sweep,
+  // single link, full scan) nor by the enacted switchover.
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(10)));
+  const net::Topology& topo = net.topology();
+  ASSERT_TRUE(net.EstablishConnection(1, NodePath(topo, {4, 5}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(1, NodePath(topo, {4, 1, 2, 5}));
+  ASSERT_TRUE(net.EstablishConnection(2, NodePath(topo, {4, 5}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(2, NodePath(topo, {4, 7, 8, 5}));
+  net.SetLinkDown(topo.FindLink(1, 2));
+  const LinkId l45 = topo.FindLink(4, 5);
+
+  const FailureImpactDetail detail = EvaluateLinkFailureDetailed(net, l45);
+  EXPECT_EQ(detail.activated, std::vector<ConnId>{2});
+  EXPECT_EQ(detail.dropped, std::vector<ConnId>{1});
+  const FailureImpactDetail scanned =
+      oracle::EvaluateLinkFailureScanDetailed(net, l45);
+  EXPECT_EQ(scanned.activated, detail.activated);
+  EXPECT_EQ(scanned.dropped, detail.dropped);
+  std::vector<FailureImpact> per_link;
+  (void)EvaluateAllSingleLinkFailures(net, &per_link);
+  EXPECT_EQ(per_link[static_cast<std::size_t>(l45)].attempts, 2);
+  EXPECT_EQ(per_link[static_cast<std::size_t>(l45)].activated, 1);
+
+  const SwitchoverReport report =
+      ApplyLinkFailure(net, l45, 1.0, nullptr, nullptr);
+  EXPECT_EQ(report.recovered, detail.activated);
+  EXPECT_EQ(report.dropped, detail.dropped);
+}
+
 TEST(EvaluateApplyCrossCheck, AgreeUnderSpareContention) {
   // The Fig. 1 under-provisioned situation: two activations compete for
   // one spare slot on 0->3; both paths must report {recovered: 1,
@@ -420,7 +454,7 @@ TEST(EvaluateApplyCrossCheck, ScanAgreesUnderContention) {
   net.RegisterBackup(2, NodePath(net.topology(), {0, 3, 4, 5, 2}));
   const LinkId l01 = net.topology().FindLink(0, 1);
   const FailureImpact indexed = EvaluateLinkFailure(net, l01);
-  const FailureImpact scanned = EvaluateLinkFailureScan(net, l01);
+  const FailureImpact scanned = oracle::EvaluateLinkFailureScan(net, l01);
   EXPECT_EQ(indexed.attempts, scanned.attempts);
   EXPECT_EQ(indexed.activated, scanned.activated);
   EXPECT_EQ(indexed.activated, 1);

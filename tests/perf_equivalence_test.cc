@@ -4,8 +4,10 @@
 //     record-by-record re-derivation from authoritative state (and a
 //     second, interleaved db must be kept correct by the publish-stamp
 //     fallback),
-//   - the indexed failure evaluators must match the retained full-scan
-//     reference implementations exactly,
+//   - the indexed failure evaluators (sweep totals, the sweep's per-link
+//     output, per-connection verdicts on every link) must match the
+//     full-scan oracle exactly, with single and multiple backups and on a
+//     capacity-scarce grid,
 //   - the link->connection reverse indexes must match brute-force scans.
 // CheckConsistency() rides along, which also re-validates every APLV
 // (including the num_at_max_ fast path in RemovePrimaryLset) and the
@@ -24,6 +26,7 @@
 #include "drtp/scheme.h"
 #include "lsdb/conflict_vector.h"
 #include "net/generators.h"
+#include "oracle/failure_scan.h"
 
 namespace drtp::core {
 namespace {
@@ -70,19 +73,53 @@ void ExpectIndexesMatchBruteForce(const DrtpNetwork& net) {
   }
 }
 
-void ExpectFailureEvalMatchesScan(const DrtpNetwork& net, Rng& rng) {
-  const Ratio indexed = EvaluateAllSingleLinkFailures(net);
-  const Ratio scan = EvaluateAllSingleLinkFailuresScan(net);
+/// What the failure checks of one sequence exercised, so an input meant
+/// to cover a path can assert that it did.
+struct FailureCoverage {
+  /// Most backups any connection held at a check.
+  std::size_t max_backups = 0;
+  /// Backups sharing a link with their primary, whose demand there is
+  /// reduced by the primary's release (need − credit < need).
+  std::int64_t credited_backups = 0;
+  /// Affected connections that held a backup and were still dropped
+  /// (every backup failed, was down or did not fit).
+  std::int64_t protected_drops = 0;
+};
+
+/// The indexed evaluators against the full-scan oracle: the sweep's
+/// ratio, its per-link output, and EvaluateLinkFailureDetailed's
+/// per-connection verdicts, on every link.
+void ExpectFailureEvalMatchesScan(const DrtpNetwork& net,
+                                  FailureCoverage& coverage) {
+  std::vector<FailureImpact> per_link;
+  const Ratio indexed = EvaluateAllSingleLinkFailures(net, &per_link);
+  const Ratio scan = oracle::EvaluateAllSingleLinkFailuresScan(net);
   EXPECT_EQ(indexed.hits, scan.hits);
   EXPECT_EQ(indexed.trials, scan.trials);
-  // A handful of random per-link spot checks.
-  const auto links = static_cast<std::size_t>(net.topology().num_links());
-  for (int i = 0; i < 8; ++i) {
-    const LinkId l = static_cast<LinkId>(rng.Index(links));
-    const FailureImpact a = EvaluateLinkFailure(net, l);
-    const FailureImpact b = EvaluateLinkFailureScan(net, l);
-    EXPECT_EQ(a.attempts, b.attempts) << "link " << l;
+  ASSERT_EQ(per_link.size(),
+            static_cast<std::size_t>(net.topology().num_links()));
+  for (LinkId l = 0; l < net.topology().num_links(); ++l) {
+    const FailureImpactDetail a = EvaluateLinkFailureDetailed(net, l);
+    const FailureImpactDetail b =
+        oracle::EvaluateLinkFailureScanDetailed(net, l);
+    EXPECT_EQ(a.impact.attempts, b.impact.attempts) << "link " << l;
+    EXPECT_EQ(a.impact.activated, b.impact.activated) << "link " << l;
     EXPECT_EQ(a.activated, b.activated) << "link " << l;
+    EXPECT_EQ(a.dropped, b.dropped) << "link " << l;
+    const FailureImpact swept = per_link[static_cast<std::size_t>(l)];
+    const FailureImpact expected =
+        net.IsLinkUp(l) ? b.impact : FailureImpact{};
+    EXPECT_EQ(swept.attempts, expected.attempts) << "link " << l;
+    EXPECT_EQ(swept.activated, expected.activated) << "link " << l;
+    for (ConnId id : b.dropped) {
+      if (net.Find(id)->has_backup()) ++coverage.protected_drops;
+    }
+  }
+  for (const auto& [id, conn] : net.connections()) {
+    coverage.max_backups = std::max(coverage.max_backups, conn.backups.size());
+    for (const routing::Path& backup : conn.backups) {
+      if (!backup.LinkDisjoint(conn.primary)) ++coverage.credited_backups;
+    }
   }
 }
 
@@ -118,8 +155,11 @@ void ExpectRouteKernelsAgree(const net::Topology& topo,
   }
 }
 
-void RunRandomizedSequence(const net::Topology& topo, bool duplex,
-                           std::uint64_t seed, int ops, int check_every) {
+/// Random admit/release/fail/repair churn with every equivalence check.
+/// Admissions register up to `num_backups` pairwise-disjoint backups.
+FailureCoverage RunRandomizedSequence(const net::Topology& topo, bool duplex,
+                                      std::uint64_t seed, int ops,
+                                      int check_every, int num_backups = 1) {
   DrtpNetwork net(topo, NetworkConfig{.duplex_failures = duplex});
   // db is published incrementally after every mutation; db_lagged is
   // published every few ops and must be healed by the stamp fallback
@@ -132,6 +172,7 @@ void RunRandomizedSequence(const net::Topology& topo, bool duplex,
   net.PublishTo(db, 0.0);
   std::vector<ConnId> live;
   ConnId next_id = 1;
+  FailureCoverage coverage;
   Time t = 0.0;
 
   for (int op = 0; op < ops; ++op) {
@@ -148,6 +189,9 @@ void RunRandomizedSequence(const net::Topology& topo, bool duplex,
       if (sel.primary.has_value() &&
           net.EstablishConnection(next_id, *sel.primary, Mbps(1), t)) {
         if (sel.backup.has_value()) net.RegisterBackup(next_id, *sel.backup);
+        if (num_backups > 1) {
+          ProtectConnection(scheme, net, db, next_id, num_backups);
+        }
         live.push_back(next_id);
         ++next_id;
       }
@@ -191,13 +235,14 @@ void RunRandomizedSequence(const net::Topology& topo, bool duplex,
     }
     if (op % check_every == 0) {
       ExpectIndexesMatchBruteForce(net);
-      ExpectFailureEvalMatchesScan(net, rng);
+      ExpectFailureEvalMatchesScan(net, coverage);
       net.CheckConsistency();
     }
   }
   ExpectIndexesMatchBruteForce(net);
-  ExpectFailureEvalMatchesScan(net, rng);
+  ExpectFailureEvalMatchesScan(net, coverage);
   net.CheckConsistency();
+  return coverage;
 }
 
 TEST(PerfEquivalence, RandomizedSequenceSimplex) {
@@ -246,6 +291,32 @@ TEST(PerfEquivalence, WideLinkStateChurn) {
   ASSERT_GT(topo.num_links(), lsdb::kWideLinkThreshold);
   RunRandomizedSequence(topo, /*duplex=*/true, /*seed=*/83, /*ops=*/40,
                         /*check_every=*/20);
+}
+
+TEST(PerfEquivalence, MultiBackupChurn) {
+  // Up to three disjoint backups per connection: the evaluators must walk
+  // each connection's backups in preference order and fall through the
+  // ones that cross the failure or do not fit.
+  for (const bool duplex : {false, true}) {
+    const FailureCoverage coverage = RunRandomizedSequence(
+        net::MakeGrid(5, 5, Mbps(6)), duplex, /*seed=*/101, /*ops=*/300,
+        /*check_every=*/10, /*num_backups=*/3);
+    EXPECT_GE(coverage.max_backups, 2u) << "duplex " << duplex;
+  }
+}
+
+TEST(PerfEquivalence, ScarceCapacityChurn) {
+  // Two connections fill a link, so spare pools stay short, backups
+  // overlap their primaries (need − credit below need) and activations
+  // lose the id-order contention.
+  for (const bool duplex : {false, true}) {
+    const FailureCoverage coverage = RunRandomizedSequence(
+        net::MakeGrid(4, 4, Mbps(2)), duplex, /*seed=*/113, /*ops=*/300,
+        /*check_every=*/5, /*num_backups=*/2);
+    EXPECT_GE(coverage.max_backups, 2u) << "duplex " << duplex;
+    EXPECT_GT(coverage.protected_drops, 0) << "duplex " << duplex;
+    EXPECT_GT(coverage.credited_backups, 0) << "duplex " << duplex;
+  }
 }
 
 TEST(PerfEquivalence, FreshDbGetsFullRepublish) {

@@ -3,7 +3,8 @@
 # a seeded closed-loop drtpload run while polling the stats RPC with
 # drtpstat, SIGUSR1-trigger a flight-recorder dump and schema-validate it,
 # assert nonzero admissions and a clean audit, then SIGTERM and require a
-# graceful drain (exit 0).
+# graceful drain (exit 0). Finally saturate fresh daemons in closed and
+# open loop and require zero rpc errors although many admits are blocked.
 #
 #   daemon_smoke.sh <drtpsim> <drtpd> <drtpload> <workdir> [bench-out] [drtpstat]
 #
@@ -33,16 +34,39 @@ rm -f "$SOCK" "$FLIGHT"
 DPID=$!
 trap 'kill "$DPID" 2>/dev/null || true' EXIT
 
-# Wait for the socket to appear (the daemon binds before serving).
-i=0
-while [ ! -S "$SOCK" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "daemon_smoke: socket never appeared" >&2
+# Waits for socket $1 to appear (the daemon binds before serving).
+wait_for_socket() {
+  i=0
+  while [ ! -S "$1" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "daemon_smoke: socket $1 never appeared" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
+
+# SIGTERMs daemon $1 and requires a graceful drain: exit 0, socket $2 gone.
+drain() {
+  kill -TERM "$1"
+  if wait "$1"; then
+    STATUS=0
+  else
+    STATUS=$?
+  fi
+  trap - EXIT
+  if [ "$STATUS" -ne 0 ]; then
+    echo "daemon_smoke: drtpd exited $STATUS after SIGTERM" >&2
     exit 1
   fi
-  sleep 0.1
-done
+  if [ -S "$2" ]; then
+    echo "daemon_smoke: socket file not removed on drain" >&2
+    exit 1
+  fi
+}
+
+wait_for_socket "$SOCK"
 
 # Poll the stats RPC *while* the load below is running: the poller runs
 # in the background, taking snapshots until the load finishes.
@@ -130,19 +154,39 @@ if ! kill -0 "$DPID" 2>/dev/null; then
 fi
 
 # Graceful drain: SIGTERM must answer everything in flight and exit 0.
-kill -TERM "$DPID"
-if wait "$DPID"; then
-  STATUS=0
-else
-  STATUS=$?
-fi
-trap - EXIT
-if [ "$STATUS" -ne 0 ]; then
-  echo "daemon_smoke: drtpd exited $STATUS after SIGTERM" >&2
-  exit 1
-fi
-if [ -S "$SOCK" ]; then
-  echo "daemon_smoke: socket file not removed on drain" >&2
-  exit 1
-fi
+drain "$DPID" "$SOCK"
 echo "daemon_smoke: graceful drain OK"
+
+# Saturation: lambda=2 over 2500 s offers ~5000 connections to a network
+# that seats ~2000, so most late admits are blocked and some blocked
+# connections' releases fall inside the horizon. Those releases are not
+# rpc errors: closed loop skips them, open loop counts their not_found
+# answers as blocked_releases. Each mode gets a fresh daemon, because the
+# connections left alive at the horizon would collide with the next run's
+# ids.
+for MODE in closed open; do
+  SAT_SOCK="$WORK/sat-$MODE.sock"
+  SAT_OUT="$WORK/sat-$MODE.json"
+  rm -f "$SAT_SOCK"
+  "$DRTPD" --socket="$SAT_SOCK" --topo="$TOPO" --scheme=D-LSR \
+    --threads=2 --batch=64 &
+  SPID=$!
+  trap 'kill "$SPID" 2>/dev/null || true' EXIT
+  wait_for_socket "$SAT_SOCK"
+  "$DRTPLOAD" --socket="$SAT_SOCK" --mode="$MODE" --workers=4 \
+    --lambda=2 --duration=2500 --seed=11 --out="$SAT_OUT"
+  python3 - "$SAT_OUT" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    r = json.load(f)
+t = r["totals"]
+assert t["blocked"] > 0, "saturating run blocked nothing"
+assert t["errors"] == 0, f"{t['errors']} rpc errors under saturation"
+assert t["transport_failures"] == 0, "transport failures"
+assert t["blocked_releases"] > 0, "no release of a blocked connection"
+print(f"daemon_smoke: saturated {r['mode']} loop: {t['admitted']} admitted, "
+      f"{t['blocked']} blocked, {t['blocked_releases']} blocked releases, "
+      f"0 errors")
+EOF
+  drain "$SPID" "$SAT_SOCK"
+done

@@ -9,7 +9,10 @@
 // connection, optionally paced — measures throughput under overload).
 //
 // Events are partitioned across workers by connection id, so a release is
-// only ever sent by the worker that already saw its admit answered.
+// only ever sent by the worker that already saw its admit answered. A
+// connection whose admit was answered blocked was never established, so
+// its release is not an error: closed loop skips it, open loop (which has
+// already sent it) counts its `not_found` answer as a blocked release.
 //
 // Closed-loop workers are fault-tolerant clients: `overloaded` responses
 // are retried after a jittered exponential backoff seeded from the hint
@@ -33,6 +36,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -170,6 +174,9 @@ struct Tally {
   std::int64_t reconnects = 0;         ///< successful re-Connects
   std::int64_t dup_acks = 0;           ///< conn_exists/not_found-as-success
   std::int64_t deadline_exceeded = 0;  ///< requests abandoned at deadline
+  /// Releases of connections whose admit was answered blocked: skipped
+  /// in closed loop, answered not_found in open loop.
+  std::int64_t blocked_releases = 0;
   std::vector<std::int64_t> latency_ns;
 };
 
@@ -209,23 +216,27 @@ Verdict ClassifyResponse(const std::string& payload) {
 }
 
 /// Counts one ok response payload into the tally (mu held by caller).
-void CountOkResponse(const std::string& payload, Tally& t) {
+/// Returns true iff it answered an admit as blocked.
+bool CountOkResponse(const std::string& payload, Tally& t) {
   ++t.ok;
   try {
     const JsonValue v = ParseJson(payload);
     const JsonValue* result = v.Find("result");
-    if (result == nullptr) return;
+    if (result == nullptr) return false;
     if (const JsonValue* admitted = result->Find("admitted")) {
       if (admitted->AsBool()) {
         ++t.admitted;
-      } else {
-        ++t.blocked;
+        return false;
       }
-    } else if (const JsonValue* released = result->Find("released")) {
+      ++t.blocked;
+      return true;
+    }
+    if (const JsonValue* released = result->Find("released")) {
       if (released->AsBool()) ++t.released;
     }
   } catch (const ParseError&) {
   }
+  return false;
 }
 
 /// Jittered sleep: base × U[0.5, 1.5), the decorrelation that keeps a
@@ -367,7 +378,13 @@ int main(int argc, char** argv) {
           bool connected = client.Connect(socket_path, &err);
           std::int64_t next_id = 1;
           std::string response;
+          std::unordered_set<ConnId> blocked;
           for (const LoadEvent& e : shards[static_cast<std::size_t>(i)]) {
+            if (!e.admit && blocked.erase(e.conn) > 0) {
+              std::lock_guard<std::mutex> l(tally.mu);
+              ++tally.blocked_releases;
+              continue;
+            }
             const std::string payload = e.admit
                                             ? AdmitPayload(next_id, e)
                                             : ReleasePayload(next_id, e.conn);
@@ -429,7 +446,7 @@ int main(int argc, char** argv) {
                 std::lock_guard<std::mutex> l(tally.mu);
                 tally.latency_ns.push_back(t1 - t0);
                 if (verdict.ok) {
-                  CountOkResponse(response, tally);
+                  if (CountOkResponse(response, tally)) blocked.insert(e.conn);
                   break;
                 }
                 if (verdict.overloaded) {
@@ -474,6 +491,7 @@ int main(int argc, char** argv) {
       std::vector<std::int64_t> stamps(timeline.size() + 1, 0);
       std::thread reader([&] {
         std::string response;
+        std::unordered_set<ConnId> blocked;
         for (std::size_t i = 0; i < timeline.size(); ++i) {
           if (!client.ReadOne(&response)) {
             std::lock_guard<std::mutex> l(tally.mu);
@@ -482,12 +500,15 @@ int main(int argc, char** argv) {
           }
           const std::int64_t t1 = MonotonicClock::Instance().NowNs();
           std::int64_t sent_ns = 0;
+          // Request id k carries timeline[k - 1].
+          const LoadEvent* event = nullptr;
           try {
             const std::int64_t id =
                 Field(ParseJson(response), "id").AsInt64();
             std::lock_guard<std::mutex> sl(stamp_mu);
             if (id >= 1 && static_cast<std::size_t>(id) < stamps.size()) {
               sent_ns = stamps[static_cast<std::size_t>(id)];
+              event = &timeline[static_cast<std::size_t>(id - 1)].e;
             }
           } catch (const std::exception&) {
           }
@@ -495,7 +516,13 @@ int main(int argc, char** argv) {
           std::lock_guard<std::mutex> l(tally.mu);
           if (sent_ns > 0) tally.latency_ns.push_back(t1 - sent_ns);
           if (verdict.ok) {
-            CountOkResponse(response, tally);
+            if (CountOkResponse(response, tally) && event != nullptr) {
+              blocked.insert(event->conn);
+            }
+          } else if (event != nullptr && !event->admit &&
+                     verdict.code == svc::kErrNotFound &&
+                     blocked.erase(event->conn) > 0) {
+            ++tally.blocked_releases;
           } else if (verdict.overloaded) {
             // Open loop never retries — a shed is the measurement, not
             // an error: it is exactly what overload pressure looks like.
@@ -599,6 +626,7 @@ int main(int argc, char** argv) {
     w.Key("reconnects").Int(tally.reconnects);
     w.Key("dup_acks").Int(tally.dup_acks);
     w.Key("deadline_exceeded").Int(tally.deadline_exceeded);
+    w.Key("blocked_releases").Int(tally.blocked_releases);
     w.EndObject();
     w.Key("throughput").BeginObject();
     w.Key("wall_s").Double(wall_s);

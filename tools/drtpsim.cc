@@ -431,10 +431,12 @@ int CmdAudit(int argc, char** argv) {
       LinkId link;
       core::FailureImpact impact;
     };
+    std::vector<core::FailureImpact> per_link;
+    (void)core::EvaluateAllSingleLinkFailures(net, &per_link);
     std::vector<Risk> risks;
     for (LinkId l = 0; l < net.topology().num_links(); ++l) {
-      if (!net.IsLinkUp(l)) continue;
-      const auto impact = core::EvaluateLinkFailure(net, l);
+      const core::FailureImpact& impact =
+          per_link[static_cast<std::size_t>(l)];
       if (impact.attempts > 0) risks.push_back({l, impact});
     }
     std::sort(risks.begin(), risks.end(), [](const Risk& a, const Risk& b) {
