@@ -1,12 +1,12 @@
 // Microbenchmark suite for the engine's hot-path kernels.
 //
 // Times the kernels the simulation spends its cycles in — LSDB
-// publication, Dijkstra, backup selection, the single-link failure sweep —
-// and emits one JSON document (schema drtp.micro/1) through the runner's
-// JSON writer. Superseded kernels (full-table publish, allocating
-// Dijkstra, full-scan failure sweep, bit-loop CV scoring) are measured
-// alongside their replacements, so every run carries its own
-// before/after comparison.
+// publication, Dijkstra, backup selection, bounded flooding, the
+// single-link failure sweep — and emits one JSON document (schema
+// drtp.micro/1) through the runner's JSON writer. Superseded kernels
+// (full-table publish, allocating Dijkstra, full-scan failure sweep,
+// node-list flood, bit-loop CV scoring) are measured alongside their
+// replacements, so every run carries its own before/after comparison.
 //
 //   micro_engine                      # human-readable table on stdout
 //   micro_engine --out=BENCH_micro.json
@@ -26,6 +26,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "drtp/admission.h"
+#include "drtp/bounded_flood.h"
 #include "drtp/dlsr.h"
 #include "drtp/failure.h"
 #include "drtp/network.h"
@@ -36,6 +37,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "oracle/failure_scan.h"
+#include "oracle/route_reference.h"
 #include "routing/dijkstra.h"
 #include "runner/json.h"
 #include "sim/paper.h"
@@ -112,6 +114,41 @@ std::vector<ConnId> LoadConnections(const net::Topology& topo,
   }
   net.PublishTo(db, 0.0);
   return ids;
+}
+
+/// BF route selection for random requests against a loaded network: the
+/// arena flood (`bf_flood`) and the node-list reference flood with its
+/// selection (`bf_flood_reference`), over the same request stream.
+void MeasureFlood(Timer& timer, std::vector<KernelResult>& out,
+                  const std::string& suffix, const core::DrtpNetwork& net,
+                  std::uint64_t seed) {
+  const net::Topology& topo = net.topology();
+  const auto nodes = static_cast<std::size_t>(topo.num_nodes());
+  core::BoundedFlooding bf(topo);
+  // SelectRoutes takes a db; BF never reads it.
+  const lsdb::LinkStateDb db(topo.num_links(), topo.num_links());
+  const auto rand_pair = [&](Rng& rng, NodeId& src, NodeId& dst) {
+    src = static_cast<NodeId>(rng.Index(nodes));
+    dst = static_cast<NodeId>(rng.Index(nodes));
+    if (dst == src) dst = (dst + 1) % topo.num_nodes();
+  };
+  {
+    Rng rng(seed);
+    out.push_back(timer.Measure("bf_flood" + suffix, [&] {
+      NodeId src, dst;
+      rand_pair(rng, src, dst);
+      DoNotOptimize(bf.SelectRoutes(net, db, src, dst, Mbps(1)));
+    }));
+  }
+  {
+    Rng rng(seed);
+    out.push_back(timer.Measure("bf_flood_reference" + suffix, [&] {
+      NodeId src, dst;
+      rand_pair(rng, src, dst);
+      DoNotOptimize(oracle::SelectRoutesReference(oracle::FloodReference(
+          net, bf.distance_table(), bf.config(), src, dst, Mbps(1))));
+    }));
+  }
 }
 
 /// The shared fixture: the paper's 60-node topology loaded with ~300
@@ -194,6 +231,9 @@ std::vector<KernelResult> RunSuite(LoadedNet& fx, double min_time_s,
   };
   out.push_back(backup_select("backup_select_dlsr", true));
   out.push_back(backup_select("backup_select_plsr", false));
+
+  // --- bounded flooding (§4) ----------------------------------------------
+  MeasureFlood(timer, out, "", fx.net, seed + 7);
 
   // --- single-link failure sweep -----------------------------------------
   out.push_back(timer.Measure("failure_sweep_scan", [&] {
@@ -447,11 +487,9 @@ std::vector<KernelResult> RunLargeSuite(double min_time_s,
     };
     {
       Rng rng(seed + 11);
-      routing::DijkstraWorkspace ws;
       out.push_back(timer.Measure(name("dijkstra_adjlist"), [&] {
         const NodeId src = static_cast<NodeId>(rng.Index(nodes));
-        routing::detail::RunDijkstraLoopAdjList(topo, src, unit_cost, ws);
-        DoNotOptimize(ws.Reached(0));
+        DoNotOptimize(oracle::RunDijkstraAdjList(topo, src, unit_cost));
       }));
     }
     {
@@ -484,7 +522,7 @@ std::vector<KernelResult> RunLargeSuite(double min_time_s,
       out.push_back(timer.Measure(name("minhop_binary"), [&] {
         NodeId src, dst;
         rand_pair(rng, src, dst);
-        DoNotOptimize(core::detail::SelectPrimaryMinHopBinaryHeap(
+        DoNotOptimize(oracle::SelectPrimaryMinHopBinaryHeap(
             topo, db, src, dst, Mbps(1)));
       }));
     }
@@ -531,12 +569,13 @@ std::vector<KernelResult> RunLargeSuite(double min_time_s,
       }));
     }
 
-    // --- single-link failure sweep on a loaded 1k graph --------------------
+    // --- failure sweep and bounded flooding on a loaded 1k graph ----------
     // A separate network, so the rows above keep timing the idle fixture.
     if (std::string_view(s.tag) == "1k") {
       core::DrtpNetwork loaded(topo);
       lsdb::LinkStateDb loaded_db(num_links, num_links);
       (void)LoadConnections(topo, loaded, loaded_db, seed + 14, 1000);
+      MeasureFlood(timer, out, "_1k", loaded, seed + 15);
       out.push_back(timer.Measure(name("failure_sweep_scan"), [&] {
         DoNotOptimize(oracle::EvaluateAllSingleLinkFailuresScan(loaded));
       }));
@@ -591,6 +630,7 @@ int Validate(const std::vector<KernelResult>& results) {
   static const char* const kExpected[] = {
       "publish_full",        "publish_incremental", "dijkstra_tree_alloc",
       "dijkstra_workspace",  "backup_select_dlsr",  "backup_select_plsr",
+      "bf_flood",            "bf_flood_reference",
       "failure_sweep_scan",  "failure_sweep_indexed", "aplv_update",
       "cv_count_in",         "cv_and_popcount",     "obs_span_overhead",
       "flight_recorder_append", "pipeline_span_stamp",
@@ -599,6 +639,7 @@ int Validate(const std::vector<KernelResult>& results) {
       "dijkstra_adjlist_1k", "dijkstra_csr_1k",     "dijkstra_radix_1k",
       "minhop_binary_1k",    "minhop_radix_1k",     "aplv_update_1k",
       "cv_count_in_1k",      "cv_and_popcount_1k",
+      "bf_flood_1k",         "bf_flood_reference_1k",
       "failure_sweep_scan_1k", "failure_sweep_indexed_1k",
       "dijkstra_adjlist_10k", "dijkstra_csr_10k",   "dijkstra_radix_10k",
       "minhop_binary_10k",   "minhop_radix_10k",    "aplv_update_10k",

@@ -73,23 +73,30 @@ class BoundedFlooding : public RoutingScheme {
     std::int64_t cdp_bytes = 0;
     int candidates = 0;
     bool budget_exhausted = false;
+
+    friend bool operator==(const FloodStats&, const FloodStats&) = default;
   };
   /// Statistics of the most recent flood.
   const FloodStats& last_stats() const { return stats_; }
 
-  const FloodConfig& config() const { return config_; }
-
- private:
   /// One CRT entry (§4.1): a route a CDP safely traversed.
   struct Candidate {
     routing::Path route;
     bool primary_flag = false;
+
+    friend bool operator==(const Candidate&, const Candidate&) = default;
   };
 
-  /// Runs the bounded flood and returns the destination's CRT.
-  std::vector<Candidate> Flood(const DrtpNetwork& net, NodeId src, NodeId dst,
-                               Bandwidth bw);
+  /// Runs the bounded flood and materializes the destination's CRT in
+  /// arrival order. Route selection never builds these paths; this is for
+  /// diagnostics and differential tests.
+  std::vector<Candidate> FloodCandidates(const DrtpNetwork& net, NodeId src,
+                                         NodeId dst, Bandwidth bw);
 
+  const FloodConfig& config() const { return config_; }
+  const routing::DistanceTable& distance_table() const { return dt_; }
+
+ private:
   FloodConfig config_;
   routing::DistanceTable dt_;
   FloodStats stats_;

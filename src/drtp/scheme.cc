@@ -65,23 +65,6 @@ std::optional<routing::Path> SelectPrimaryMinHop(const net::Topology& topo,
       Scratch().dijkstra);
 }
 
-namespace detail {
-
-std::optional<routing::Path> SelectPrimaryMinHopBinaryHeap(
-    const net::Topology& topo, const lsdb::LinkStateDb& db, NodeId src,
-    NodeId dst, Bandwidth bw) {
-  return routing::CheapestPath(
-      topo, src, dst,
-      [&](LinkId l) {
-        const lsdb::LinkRecord& rec = db.record(l);
-        return rec.up && rec.free_for_primary >= bw ? 1.0
-                                                    : routing::kInfiniteCost;
-      },
-      Scratch().dijkstra);
-}
-
-}  // namespace detail
-
 std::optional<routing::Path> RoutingScheme::SelectBackupFor(
     const DrtpNetwork&, const lsdb::LinkStateDb&, const routing::Path&,
     Bandwidth, std::span<const routing::Path>) {
@@ -97,6 +80,25 @@ std::optional<routing::Path> SelectBackupLsr(
   // full span's clock reads are a measurable fraction of the kernel (the
   // CI obs-overhead gate budget; see docs/OBSERVABILITY.md).
   DRTP_OBS_SPAN_SAMPLED("drtp.kernel.backup_select", 2);
+  return detail::SelectBackupLsrWith(
+      topo, db, primary, bw, deterministic, avoid, scoring, srlg_mode,
+      [&](routing::LinkCostFn cost) {
+        if (max_hops > 0) {
+          return routing::CheapestPathMaxHops(topo, src, dst, cost, max_hops,
+                                              Scratch().max_hops);
+        }
+        return routing::CheapestPath(topo, src, dst, cost,
+                                     Scratch().dijkstra);
+      });
+}
+
+namespace detail {
+
+std::optional<routing::Path> SelectBackupLsrWith(
+    const net::Topology& topo, const lsdb::LinkStateDb& db,
+    const routing::LinkSet& primary, Bandwidth bw, bool deterministic,
+    std::span<const routing::Path> avoid, CvScoring scoring,
+    SrlgMode srlg_mode, BackupSearchFn search) {
   const int words = (topo.num_links() + 63) / 64;
   const bool use_mask =
       deterministic && (scoring == CvScoring::kMask ||
@@ -168,12 +170,10 @@ std::optional<routing::Path> SelectBackupLsr(
     }
     return c;
   };
-  if (max_hops > 0) {
-    return routing::CheapestPathMaxHops(topo, src, dst, cost, max_hops,
-                                        scratch.max_hops);
-  }
-  return routing::CheapestPath(topo, src, dst, cost, scratch.dijkstra);
+  return search(cost);
 }
+
+}  // namespace detail
 
 int ProtectConnection(RoutingScheme& scheme, DrtpNetwork& net,
                       const lsdb::LinkStateDb& db, ConnId id, int count) {

@@ -17,6 +17,7 @@
 #include "common/types.h"
 #include "drtp/network.h"
 #include "lsdb/link_state_db.h"
+#include "routing/dijkstra.h"
 #include "routing/path.h"
 
 namespace drtp::core {
@@ -167,11 +168,19 @@ std::optional<routing::Path> SelectPrimaryMinHop(const net::Topology& topo,
                                                  Bandwidth bw);
 
 namespace detail {
-/// Pre-radix reference: the double-cost binary-heap formulation of
-/// SelectPrimaryMinHop, kept as the differential-test oracle.
-std::optional<routing::Path> SelectPrimaryMinHopBinaryHeap(
-    const net::Topology& topo, const lsdb::LinkStateDb& db, NodeId src,
-    NodeId dst, Bandwidth bw);
+/// The search SelectBackupLsr runs once its Eq. 4/5 cost is built.
+using BackupSearchFn =
+    FunctionRef<std::optional<routing::Path>(routing::LinkCostFn)>;
+
+/// SelectBackupLsr with the search handed in: builds the same per-request
+/// cost and returns `search(cost)`. SelectBackupLsr passes the early-exit
+/// Dijkstra (or the hop-bounded DP); differential tests pass a full-tree
+/// run and compare routes.
+std::optional<routing::Path> SelectBackupLsrWith(
+    const net::Topology& topo, const lsdb::LinkStateDb& db,
+    const routing::LinkSet& primary, Bandwidth bw, bool deterministic,
+    std::span<const routing::Path> avoid, CvScoring scoring,
+    SrlgMode srlg_mode, BackupSearchFn search);
 }  // namespace detail
 
 /// Large-but-finite penalty for disqualified links (Eq. 4/5's Q): a

@@ -7,20 +7,31 @@
 #include "obs/span.h"
 
 namespace drtp::routing {
-namespace {
 
-/// The (hops, node) DP shared by the CSR and adjacency-list entries; the
-/// endpoint providers are the only difference, so both run the identical
-/// link order and produce the identical path.
-template <typename SrcOf, typename DstOf>
-std::optional<Path> MaxHopsDp(const net::Topology& topo, NodeId src,
-                              NodeId dst, LinkCostFn cost, int max_hops,
-                              MaxHopsWorkspace& ws, SrcOf src_of,
-                              DstOf dst_of) {
+std::optional<Path> CheapestPathMaxHops(const net::Topology& topo,
+                                        NodeId src, NodeId dst,
+                                        LinkCostFn cost, int max_hops) {
+  MaxHopsWorkspace ws;
+  return CheapestPathMaxHops(topo, src, dst, cost, max_hops, ws);
+}
+
+std::optional<Path> CheapestPathMaxHops(const net::Topology& topo,
+                                        NodeId src, NodeId dst,
+                                        LinkCostFn cost, int max_hops,
+                                        MaxHopsWorkspace& ws) {
+  // Sampled for the same reason as the Dijkstra kernel: innermost, called
+  // repeatedly per admission under BF/maxhops schemes.
+  DRTP_OBS_SPAN_SAMPLED("drtp.kernel.maxhops", 6);
   DRTP_CHECK(src >= 0 && src < topo.num_nodes());
   DRTP_CHECK(dst >= 0 && dst < topo.num_nodes());
   DRTP_CHECK(src != dst);
   DRTP_CHECK(max_hops >= 1);
+  // The DP streams every link once per layer; the CSR endpoint mirrors
+  // turn that into two sequential array reads instead of a strided walk
+  // over 40-byte Link records.
+  const net::Csr& csr = topo.csr();
+  const NodeId* link_src = csr.link_src.data();
+  const NodeId* link_dst = csr.link_dst.data();
   const auto n = static_cast<std::size_t>(topo.num_nodes());
   const auto layers = static_cast<std::size_t>(max_hops) + 1;
 
@@ -40,12 +51,12 @@ std::optional<Path> MaxHopsDp(const net::Topology& topo, NodeId src,
     double* cur = ws.dist.data() + h * n;
     LinkId* par = ws.parent.data() + h * n;
     for (LinkId l = 0; l < topo.num_links(); ++l) {
-      const double du = prev[static_cast<std::size_t>(src_of(l))];
+      const double du = prev[static_cast<std::size_t>(link_src[l])];
       if (du == kInfiniteCost) continue;
       const double c = cost(l);
       if (c == kInfiniteCost) continue;
       DRTP_CHECK_MSG(c >= 0.0, "negative cost on link " << l);
-      const auto v = static_cast<std::size_t>(dst_of(l));
+      const auto v = static_cast<std::size_t>(link_dst[l]);
       if (du + c < cur[v]) {
         cur[v] = du + c;
         par[v] = l;
@@ -71,50 +82,10 @@ std::optional<Path> MaxHopsDp(const net::Topology& topo, NodeId src,
     const LinkId l = ws.parent[h * n + static_cast<std::size_t>(v)];
     DRTP_CHECK(l != kInvalidLink);
     links[h - 1] = l;
-    v = src_of(l);
+    v = link_src[l];
   }
   DRTP_CHECK(v == src);
   return Path::FromLinks(topo, std::move(links));
 }
-
-}  // namespace
-
-std::optional<Path> CheapestPathMaxHops(const net::Topology& topo,
-                                        NodeId src, NodeId dst,
-                                        LinkCostFn cost, int max_hops) {
-  MaxHopsWorkspace ws;
-  return CheapestPathMaxHops(topo, src, dst, cost, max_hops, ws);
-}
-
-std::optional<Path> CheapestPathMaxHops(const net::Topology& topo,
-                                        NodeId src, NodeId dst,
-                                        LinkCostFn cost, int max_hops,
-                                        MaxHopsWorkspace& ws) {
-  // Sampled for the same reason as the Dijkstra kernel: innermost, called
-  // repeatedly per admission under BF/maxhops schemes.
-  DRTP_OBS_SPAN_SAMPLED("drtp.kernel.maxhops", 6);
-  // The DP streams every link once per layer; the CSR endpoint mirrors
-  // turn that into two sequential array reads instead of a strided walk
-  // over 40-byte Link records.
-  const net::Csr& csr = topo.csr();
-  return MaxHopsDp(
-      topo, src, dst, cost, max_hops, ws,
-      [&](LinkId l) { return csr.link_src[static_cast<std::size_t>(l)]; },
-      [&](LinkId l) { return csr.link_dst[static_cast<std::size_t>(l)]; });
-}
-
-namespace detail {
-
-std::optional<Path> CheapestPathMaxHopsAdjList(const net::Topology& topo,
-                                               NodeId src, NodeId dst,
-                                               LinkCostFn cost, int max_hops,
-                                               MaxHopsWorkspace& ws) {
-  return MaxHopsDp(
-      topo, src, dst, cost, max_hops, ws,
-      [&](LinkId l) { return topo.link(l).src; },
-      [&](LinkId l) { return topo.link(l).dst; });
-}
-
-}  // namespace detail
 
 }  // namespace drtp::routing

@@ -40,14 +40,4 @@ std::optional<Path> CheapestPathMaxHops(const net::Topology& topo,
                                         LinkCostFn cost, int max_hops,
                                         MaxHopsWorkspace& ws);
 
-namespace detail {
-/// Pre-CSR reference relaxation over topo.link(l).src/.dst — identical
-/// link order, identical result; the differential-test oracle for the
-/// CSR-backed CheapestPathMaxHops.
-std::optional<Path> CheapestPathMaxHopsAdjList(const net::Topology& topo,
-                                               NodeId src, NodeId dst,
-                                               LinkCostFn cost, int max_hops,
-                                               MaxHopsWorkspace& ws);
-}  // namespace detail
-
 }  // namespace drtp::routing

@@ -42,10 +42,10 @@ namespace detail {
 ///
 /// Walks the CSR rows: link id and head node come from two flat arrays
 /// in out_links insertion order, so the relaxation sequence — and every
-/// tie-break — matches RunDijkstraLoopAdjList exactly.
+/// tie-break — matches the adjacency-list reference in drtp_oracle.
 [[gnu::noinline]] void RunDijkstraLoop(const net::Topology& topo, NodeId src,
-                                       LinkCostFn cost,
-                                       DijkstraWorkspace& ws) {
+                                       LinkCostFn cost, DijkstraWorkspace& ws,
+                                       NodeId settle_until) {
   DRTP_CHECK(src >= 0 && src < topo.num_nodes());
   const net::Csr& csr = topo.csr();
   ws.Prepare(topo.num_nodes());
@@ -63,6 +63,7 @@ namespace detail {
     const auto [d, u] = heap.back();
     heap.pop_back();
     if (d > ws.Dist(u)) continue;  // stale
+    if (u == settle_until) return;  // final: see RunDijkstra
     const auto row = static_cast<std::size_t>(u);
     const std::int32_t begin = csr.out_offsets[row];
     const std::int32_t end = csr.out_offsets[row + 1];
@@ -72,38 +73,6 @@ namespace detail {
       if (c == kInfiniteCost) continue;
       DRTP_CHECK_MSG(c >= 0.0, "negative cost " << c << " on link " << l);
       const NodeId v = csr.out_heads[static_cast<std::size_t>(i)];
-      const double nd = d + c;
-      if (nd < ws.Dist(v)) {
-        ws.Relax(v, nd, l);
-        heap.emplace_back(nd, v);
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      }
-    }
-  }
-}
-
-/// Pre-CSR reference: identical algorithm over Node::out_links -> Link
-/// pointer chasing. Differential tests pin RunDijkstraLoop to this.
-[[gnu::noinline]] void RunDijkstraLoopAdjList(const net::Topology& topo,
-                                              NodeId src, LinkCostFn cost,
-                                              DijkstraWorkspace& ws) {
-  DRTP_CHECK(src >= 0 && src < topo.num_nodes());
-  ws.Prepare(topo.num_nodes());
-  ws.Relax(src, 0.0, kInvalidLink);
-  auto& heap = ws.heap_;
-  heap.clear();
-  heap.emplace_back(0.0, src);
-  const std::greater<> cmp;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    const auto [d, u] = heap.back();
-    heap.pop_back();
-    if (d > ws.Dist(u)) continue;  // stale
-    for (LinkId l : topo.out_links(u)) {
-      const double c = cost(l);
-      if (c == kInfiniteCost) continue;
-      DRTP_CHECK_MSG(c >= 0.0, "negative cost " << c << " on link " << l);
-      const NodeId v = topo.link(l).dst;
       const double nd = d + c;
       if (nd < ws.Dist(v)) {
         ws.Relax(v, nd, l);
@@ -232,7 +201,7 @@ void DijkstraWorkspace::Prepare(int num_nodes) {
 }
 
 void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
-                 DijkstraWorkspace& ws) {
+                 DijkstraWorkspace& ws, NodeId settle_until) {
 #ifndef DRTP_OBS_DISABLED
   // Sampled 1-in-64: the innermost routing kernel, invoked several times
   // per backup selection. The timed path is a separate branch so the
@@ -241,11 +210,11 @@ void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
   thread_local std::uint32_t tick = 0;
   if ((tick++ & 63u) == 0) {
     DRTP_OBS_SPAN("drtp.kernel.dijkstra");
-    detail::RunDijkstraLoop(topo, src, cost, ws);
+    detail::RunDijkstraLoop(topo, src, cost, ws, settle_until);
     return;
   }
 #endif
-  detail::RunDijkstraLoop(topo, src, cost, ws);
+  detail::RunDijkstraLoop(topo, src, cost, ws, settle_until);
 }
 
 void RunDijkstraInt(const net::Topology& topo, NodeId src, IntLinkCostFn cost,
@@ -287,7 +256,7 @@ std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
                                  NodeId dst, LinkCostFn cost,
                                  DijkstraWorkspace& ws) {
   DRTP_CHECK(src != dst);
-  RunDijkstra(topo, src, cost, ws);
+  RunDijkstra(topo, src, cost, ws, dst);
   return ws.PathTo(topo, dst);
 }
 

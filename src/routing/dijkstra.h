@@ -48,15 +48,9 @@ class DijkstraWorkspace;
 namespace detail {
 /// Internal: the Dijkstra hot loop, shared by the obs-timed and untimed
 /// entry paths of RunDijkstra (see dijkstra.cc for why it is split out).
-/// Walks the topology's CSR rows.
+/// Walks the topology's CSR rows; see RunDijkstra for `settle_until`.
 void RunDijkstraLoop(const net::Topology& topo, NodeId src, LinkCostFn cost,
-                     DijkstraWorkspace& ws);
-
-/// Reference implementation over the pointer-chasing Node::out_links
-/// adjacency — the pre-CSR layout, kept as the differential-test oracle
-/// for RunDijkstraLoop (identical edge order, identical tree).
-void RunDijkstraLoopAdjList(const net::Topology& topo, NodeId src,
-                            LinkCostFn cost, DijkstraWorkspace& ws);
+                     DijkstraWorkspace& ws, NodeId settle_until);
 
 /// Integer-cost bucket-queue hot loop; see RunDijkstraInt.
 void RunDijkstraLoopInt(const net::Topology& topo, NodeId src,
@@ -106,14 +100,9 @@ class DijkstraWorkspace {
   std::optional<Path> PathTo(const net::Topology& topo, NodeId dst) const;
 
  private:
-  friend void RunDijkstra(const net::Topology& topo, NodeId src,
-                          LinkCostFn cost, DijkstraWorkspace& ws);
   friend void detail::RunDijkstraLoop(const net::Topology& topo, NodeId src,
-                                      LinkCostFn cost,
-                                      DijkstraWorkspace& ws);
-  friend void detail::RunDijkstraLoopAdjList(const net::Topology& topo,
-                                             NodeId src, LinkCostFn cost,
-                                             DijkstraWorkspace& ws);
+                                      LinkCostFn cost, DijkstraWorkspace& ws,
+                                      NodeId settle_until);
   friend void detail::RunDijkstraLoopInt(const net::Topology& topo,
                                          NodeId src, IntLinkCostFn cost,
                                          DijkstraWorkspace& ws,
@@ -146,8 +135,15 @@ DijkstraTree RunDijkstra(const net::Topology& topo, NodeId src,
 
 /// Allocation-free variant: identical tree (same tie-breaks — the heap
 /// replays std::priority_queue's pop order exactly), results land in `ws`.
+///
+/// `settle_until` != kInvalidNode stops the run once that node pops as
+/// settled. Costs are non-negative, so every later pop has d' >= d and
+/// relaxes to d' + c >= d (rounding is monotone): the strict `<` test can
+/// never again lower the dist of that node or of any node on its parent
+/// chain, all of which popped earlier. PathTo(settle_until) is therefore
+/// the full tree's path bit for bit; other nodes' results are unspecified.
 void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
-                 DijkstraWorkspace& ws);
+                 DijkstraWorkspace& ws, NodeId settle_until = kInvalidNode);
 
 /// Integer-cost Dijkstra on a monotone bucket queue (Dial's algorithm) —
 /// O(V + E + max_dist) with no log factor and no per-run allocation once
@@ -167,7 +163,7 @@ void RunDijkstraInt(const net::Topology& topo, NodeId src, IntLinkCostFn cost,
                     NodeId settle_until = kInvalidNode);
 
 /// Convenience: cheapest src->dst path, nullopt when disconnected (or when
-/// every route has infinite cost).
+/// every route has infinite cost). Stops the search once `dst` settles.
 std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
                                  NodeId dst, LinkCostFn cost);
 

@@ -87,7 +87,16 @@ bool Path::IsSimple() const {
 LinkSet Path::ToLinkSet() const { return MakeLinkSet(links_); }
 
 int Path::OverlapCount(const Path& other) const {
-  return SetIntersectCount(ToLinkSet(), other.ToLinkSet());
+  // |LSET(this) ∩ LSET(other)| without building either set: count each
+  // distinct link of this path once if `other` has it. Routes are a few
+  // hops long, so the quadratic scans beat two sorted copies.
+  int count = 0;
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const auto first = links_.begin() + static_cast<std::ptrdiff_t>(i);
+    if (std::find(links_.begin(), first, *first) != first) continue;
+    if (other.Contains(*first)) ++count;
+  }
+  return count;
 }
 
 }  // namespace drtp::routing

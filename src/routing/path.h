@@ -59,7 +59,8 @@ class Path {
   /// LSET of this route (sorted copy).
   LinkSet ToLinkSet() const;
 
-  /// Number of links shared with `other`.
+  /// Number of distinct links shared with `other` (|LSET ∩ LSET|);
+  /// allocation-free.
   int OverlapCount(const Path& other) const;
 
   /// True iff no shared links (primary/backup disjointness test).

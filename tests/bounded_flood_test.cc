@@ -1,12 +1,14 @@
 // Tests for the bounded flooding scheme (§4): the four CDP tests, the
 // elliptical bound, destination-side selection, overhead accounting and
-// budget behaviour.
+// budget behaviour, with the flood pinned to the node-list reference in
+// drtp_oracle.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "drtp/bounded_flood.h"
 #include "drtp/network.h"
 #include "net/generators.h"
+#include "oracle/route_reference.h"
 
 namespace drtp::core {
 namespace {
@@ -155,6 +157,77 @@ TEST(BoundedFlood, CdpBudgetStopsFloodButReportsIt) {
   (void)sel;
 }
 
+/// The flood's CRT and stats, and SelectRoutes's choice, must equal the
+/// reference flood's under the same distance table and config.
+void ExpectFloodMatchesReference(BoundedFlooding& bf, const DrtpNetwork& net,
+                                 NodeId src, NodeId dst, Bandwidth bw) {
+  const oracle::FloodResult ref = oracle::FloodReference(
+      net, bf.distance_table(), bf.config(), src, dst, bw);
+  EXPECT_EQ(bf.FloodCandidates(net, src, dst, bw), ref.crt);
+  EXPECT_EQ(bf.last_stats(), ref.stats);
+  const RouteSelection sel = bf.SelectRoutes(net, DummyDb(net), src, dst, bw);
+  const RouteSelection want = oracle::SelectRoutesReference(ref);
+  EXPECT_EQ(sel.primary, want.primary);
+  EXPECT_EQ(sel.backup, want.backup);
+  EXPECT_EQ(sel.control_messages, want.control_messages);
+  EXPECT_EQ(sel.control_bytes, want.control_bytes);
+}
+
+TEST(BoundedFlood, CdpBudgetDropsCdpsQueuedForDestination) {
+  // Square 0-1-2-3 with 0->1 inserted first: the first forward reaches
+  // the destination, and the second (0->3) exhausts a budget of one while
+  // that CDP still waits in the queue. It is dropped, as the reference
+  // deque's clear() dropped it.
+  net::Topology topo;
+  for (int i = 0; i < 4; ++i) topo.AddNode();
+  topo.AddDuplexLink(0, 1, Mbps(10));
+  topo.AddDuplexLink(0, 3, Mbps(10));
+  topo.AddDuplexLink(3, 2, Mbps(10));
+  topo.AddDuplexLink(2, 1, Mbps(10));
+  DrtpNetwork net(std::move(topo));
+  BoundedFlooding bf(net.topology(), FloodConfig{.sigma = 2, .max_cdps = 1});
+  const auto crt = bf.FloodCandidates(net, 0, 1, Mbps(1));
+  EXPECT_TRUE(bf.last_stats().budget_exhausted);
+  EXPECT_EQ(bf.last_stats().cdp_forwards, 1);
+  EXPECT_TRUE(crt.empty());
+  const oracle::FloodResult ref = oracle::FloodReference(
+      net, bf.distance_table(), bf.config(), 0, 1, Mbps(1));
+  EXPECT_EQ(static_cast<int>(crt.size()), ref.stats.candidates);
+  EXPECT_EQ(bf.last_stats(), ref.stats);
+
+  // With room for both forwards the direct CDP is dequeued and kept.
+  BoundedFlooding roomy(net.topology(),
+                        FloodConfig{.sigma = 2, .max_cdps = 2});
+  EXPECT_FALSE(roomy.FloodCandidates(net, 0, 1, Mbps(1)).empty());
+  ExpectFloodMatchesReference(roomy, net, 0, 1, Mbps(1));
+}
+
+TEST(BoundedFlood, MatchesReferenceUnderEveryBudget) {
+  // Loaded grid (some links primary-infeasible, one saturated), every
+  // budget from one CDP up to an unbounded flood.
+  DrtpNetwork net(net::MakeGrid(4, 4, Mbps(2)));
+  ASSERT_TRUE(net.EstablishConnection(
+      90, NodePath(net.topology(), {0, 1, 2, 6}), Mbps(1), 0.0));
+  ASSERT_TRUE(net.EstablishConnection(
+      91, NodePath(net.topology(), {4, 5, 6, 7}), Mbps(2), 0.0));
+  net.RegisterBackup(90, NodePath(net.topology(), {0, 4, 8, 9, 10, 6}));
+  std::int64_t unbounded = 0;
+  {
+    BoundedFlooding bf(net.topology(), FloodConfig{.sigma = 3, .beta = 2});
+    ExpectFloodMatchesReference(bf, net, 0, 15, Mbps(1));
+    unbounded = bf.last_stats().cdp_forwards;
+    ASSERT_FALSE(bf.last_stats().budget_exhausted);
+  }
+  ASSERT_GT(unbounded, 20);
+  for (std::int64_t budget = 1; budget <= unbounded + 1; ++budget) {
+    BoundedFlooding bf(net.topology(), FloodConfig{.sigma = 3, .beta = 2,
+                                                   .max_cdps = budget});
+    ExpectFloodMatchesReference(bf, net, 0, 15, Mbps(1));
+    EXPECT_EQ(bf.last_stats().budget_exhausted, budget < unbounded)
+        << "budget " << budget;
+  }
+}
+
 TEST(BoundedFlood, WiderBoundsNeverFindWorsePrimary) {
   DrtpNetwork net(net::MakeGrid(4, 4, Mbps(10)));
   auto db = DummyDb(net);
@@ -195,6 +268,28 @@ TEST(BoundedFlood, SelectBackupForMinimizesOverlap) {
   const auto backup = bf.SelectBackupFor(net, DummyDb(net), primary, Mbps(1));
   ASSERT_TRUE(backup.has_value());
   EXPECT_TRUE(backup->LinkDisjoint(primary));
+}
+
+TEST(BoundedFlood, SelectBackupForMatchesReferenceWithAvoidRoutes) {
+  // Scored against the primary plus each route to avoid; routes equal to
+  // any of them are skipped.
+  DrtpNetwork net(net::MakeGrid(4, 4, Mbps(10)));
+  BoundedFlooding bf(net.topology(), FloodConfig{.sigma = 4, .beta = 4});
+  const net::Topology& topo = net.topology();
+  const auto primary = NodePath(topo, {0, 1, 2, 3, 7});
+  const std::vector<routing::Path> avoid = {
+      NodePath(topo, {0, 4, 5, 6, 7}), NodePath(topo, {0, 4, 8, 9, 10, 11, 7})};
+  for (std::size_t n = 0; n <= avoid.size(); ++n) {
+    const std::span<const routing::Path> a(avoid.data(), n);
+    const auto got = bf.SelectBackupFor(net, DummyDb(net), primary, Mbps(1), a);
+    const oracle::FloodResult ref = oracle::FloodReference(
+        net, bf.distance_table(), bf.config(), 0, 7, Mbps(1));
+    EXPECT_EQ(got, oracle::SelectBackupForReference(ref, primary, a))
+        << n << " avoid routes";
+    ASSERT_TRUE(got.has_value());
+    EXPECT_NE(*got, primary);
+    for (const routing::Path& r : a) EXPECT_NE(*got, r);
+  }
 }
 
 TEST(BoundedFlood, ConfigValidation) {

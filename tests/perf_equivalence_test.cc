@@ -8,7 +8,11 @@
 //     output, per-connection verdicts on every link) must match the
 //     full-scan oracle exactly, with single and multiple backups and on a
 //     capacity-scarce grid,
-//   - the link->connection reverse indexes must match brute-force scans.
+//   - the link->connection reverse indexes must match brute-force scans,
+//   - at every admit point the route-selection kernels must pick what
+//     their references in drtp_oracle pick: the bucket-queue primary,
+//     the early-exit backup Dijkstra (against a full tree), and BF's
+//     arena flood (CRT, stats and both selections).
 // CheckConsistency() rides along, which also re-validates every APLV
 // (including the num_at_max_ fast path in RemovePrimaryLset) and the
 // down-link mirror. The CI sanitizer job runs this file under
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "drtp/bounded_flood.h"
 #include "drtp/dlsr.h"
 #include "drtp/failure.h"
 #include "drtp/network.h"
@@ -27,6 +32,8 @@
 #include "lsdb/conflict_vector.h"
 #include "net/generators.h"
 #include "oracle/failure_scan.h"
+#include "oracle/route_reference.h"
+#include "routing/dijkstra.h"
 
 namespace drtp::core {
 namespace {
@@ -129,15 +136,20 @@ std::vector<LinkId> LinksOf(const routing::Path& p) {
 }
 
 /// At an admit point, the rewritten kernels must pick exactly the routes
-/// their retained reference implementations pick against the same db:
-/// bucket-queue min-hop primary vs the binary-heap formulation, and the
-/// two Eq. 5 conflict-scoring strategies against each other.
-void ExpectRouteKernelsAgree(const net::Topology& topo,
-                             const lsdb::LinkStateDb& db, NodeId src,
-                             NodeId dst) {
+/// their retained reference implementations pick against the same state:
+/// bucket-queue min-hop primary vs the binary-heap formulation, the two
+/// Eq. 5 conflict-scoring strategies against each other, the early-exit
+/// backup search against the full tree's path under the same Eq. 4/5
+/// cost, and BF's arena flood against the node-list flood. `conn`, when
+/// set, is re-protected by BF with its backups as routes to avoid.
+void ExpectRouteKernelsAgree(const DrtpNetwork& net,
+                             const lsdb::LinkStateDb& db, BoundedFlooding& bf,
+                             NodeId src, NodeId dst,
+                             const DrConnection* conn) {
+  const net::Topology& topo = net.topology();
   const auto radix = SelectPrimaryMinHop(topo, db, src, dst, Mbps(1));
   const auto binary =
-      detail::SelectPrimaryMinHopBinaryHeap(topo, db, src, dst, Mbps(1));
+      oracle::SelectPrimaryMinHopBinaryHeap(topo, db, src, dst, Mbps(1));
   ASSERT_EQ(radix.has_value(), binary.has_value()) << src << "->" << dst;
   if (radix.has_value()) {
     ASSERT_EQ(LinksOf(*radix), LinksOf(*binary)) << src << "->" << dst;
@@ -152,6 +164,39 @@ void ExpectRouteKernelsAgree(const net::Topology& topo,
     if (mask.has_value()) {
       ASSERT_EQ(LinksOf(*mask), LinksOf(*sparse)) << src << "->" << dst;
     }
+    for (const bool deterministic : {true, false}) {
+      const auto early = SelectBackupLsr(topo, db, primary, src, dst,
+                                         Mbps(1), deterministic);
+      const auto full = detail::SelectBackupLsrWith(
+          topo, db, primary, Mbps(1), deterministic, {}, CvScoring::kAuto,
+          SrlgMode::kOff, [&](routing::LinkCostFn cost) {
+            return routing::RunDijkstra(topo, src, cost).PathTo(topo, dst);
+          });
+      ASSERT_EQ(early, full) << src << "->" << dst << " deterministic "
+                             << deterministic;
+    }
+  }
+
+  const oracle::FloodResult ref = oracle::FloodReference(
+      net, bf.distance_table(), bf.config(), src, dst, Mbps(1));
+  ASSERT_EQ(bf.FloodCandidates(net, src, dst, Mbps(1)), ref.crt)
+      << src << "->" << dst;
+  ASSERT_EQ(bf.last_stats(), ref.stats) << src << "->" << dst;
+  const RouteSelection sel = bf.SelectRoutes(net, db, src, dst, Mbps(1));
+  const RouteSelection want = oracle::SelectRoutesReference(ref);
+  ASSERT_EQ(sel.primary, want.primary) << src << "->" << dst;
+  ASSERT_EQ(sel.backup, want.backup) << src << "->" << dst;
+  ASSERT_EQ(sel.control_messages, want.control_messages);
+  ASSERT_EQ(sel.control_bytes, want.control_bytes);
+  if (conn != nullptr) {
+    const auto backup =
+        bf.SelectBackupFor(net, db, conn->primary, conn->bw, conn->backups);
+    const oracle::FloodResult again =
+        oracle::FloodReference(net, bf.distance_table(), bf.config(),
+                               conn->src, conn->dst, conn->bw);
+    ASSERT_EQ(backup, oracle::SelectBackupForReference(again, conn->primary,
+                                                       conn->backups))
+        << "conn " << conn->id;
   }
 }
 
@@ -167,6 +212,7 @@ FailureCoverage RunRandomizedSequence(const net::Topology& topo, bool duplex,
   lsdb::LinkStateDb db(topo.num_links(), topo.num_links());
   lsdb::LinkStateDb db_lagged(topo.num_links(), topo.num_links());
   Dlsr scheme;
+  BoundedFlooding bf(topo);
   Rng rng(seed);
 
   net.PublishTo(db, 0.0);
@@ -183,7 +229,8 @@ FailureCoverage RunRandomizedSequence(const net::Topology& topo, bool duplex,
       const NodeId src = static_cast<NodeId>(rng.Index(nodes));
       NodeId dst = static_cast<NodeId>(rng.Index(nodes));
       if (dst == src) dst = (dst + 1) % topo.num_nodes();
-      ExpectRouteKernelsAgree(topo, db, src, dst);
+      ExpectRouteKernelsAgree(net, db, bf, src, dst,
+                              live.empty() ? nullptr : net.Find(live.back()));
       const RouteSelection sel = scheme.SelectRoutes(net, db, src, dst,
                                                      Mbps(1));
       if (sel.primary.has_value() &&
@@ -211,6 +258,7 @@ FailureCoverage RunRandomizedSequence(const net::Topology& topo, bool duplex,
         const LinkId l = up[rng.Index(up.size())];
         const SwitchoverReport report =
             ApplyLinkFailure(net, l, t, &scheme, &db);
+        bf.OnTopologyChanged(net);
         for (ConnId id : report.dropped) {
           live.erase(std::remove(live.begin(), live.end(), id), live.end());
         }
@@ -220,6 +268,7 @@ FailureCoverage RunRandomizedSequence(const net::Topology& topo, bool duplex,
       if (!down.empty()) {
         net.SetLinkUp(down[rng.Index(down.size())]);
         scheme.OnTopologyChanged(net);
+        bf.OnTopologyChanged(net);
       }
     }
     // else: no mutation — publication of a clean network must also hold.

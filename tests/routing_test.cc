@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "net/generators.h"
+#include "oracle/route_reference.h"
 #include "routing/bellman_ford.h"
 #include "routing/constrained.h"
 #include "routing/dijkstra.h"
@@ -83,6 +84,33 @@ TEST(Path, OverlapAndContains) {
   EXPECT_TRUE(a->LinkDisjoint(*c));
   EXPECT_TRUE(a->Contains(t.FindLink(0, 1)));
   EXPECT_FALSE(a->Contains(t.FindLink(1, 0)));  // direction matters
+}
+
+TEST(Path, OverlapCountMatchesLinkSetIntersection) {
+  // Random walks (links may repeat) against the definition: the size of
+  // the intersection of the two deduplicated LSETs.
+  const Topology t = MakeGrid(3, 3, Mbps(1));
+  Rng rng(5);
+  const auto walk = [&] {
+    std::vector<LinkId> links;
+    NodeId at = static_cast<NodeId>(rng.Index(9));
+    const std::size_t hops = 1 + rng.Index(10);
+    for (std::size_t i = 0; i < hops; ++i) {
+      const auto out = t.out_links(at);
+      links.push_back(out[rng.Index(out.size())]);
+      at = t.link(links.back()).dst;
+    }
+    auto p = Path::FromLinks(t, std::move(links));
+    DRTP_CHECK(p.has_value());
+    return *p;
+  };
+  for (int i = 0; i < 200; ++i) {
+    const Path a = walk();
+    const Path b = walk();
+    EXPECT_EQ(a.OverlapCount(b),
+              SetIntersectCount(a.ToLinkSet(), b.ToLinkSet()));
+    EXPECT_EQ(b.OverlapCount(a), a.OverlapCount(b));
+  }
 }
 
 TEST(Path, NonSimpleDetected) {
@@ -231,6 +259,16 @@ std::vector<std::int64_t> RandomIntCosts(const Topology& t, Rng& rng) {
 }
 
 void ExpectSameTree(const Topology& t, const DijkstraWorkspace& a,
+                    const DijkstraTree& b, const char* what) {
+  for (NodeId v = 0; v < t.num_nodes(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    ASSERT_EQ(a.Dist(v), b.dist[i]) << what << ": dist diverged at " << v;
+    ASSERT_EQ(a.ParentLink(v), b.parent_link[i])
+        << what << ": parent diverged at " << v;
+  }
+}
+
+void ExpectSameTree(const Topology& t, const DijkstraWorkspace& a,
                     const DijkstraWorkspace& b, const char* what) {
   for (NodeId v = 0; v < t.num_nodes(); ++v) {
     ASSERT_EQ(a.Dist(v), b.Dist(v)) << what << ": dist diverged at " << v;
@@ -318,12 +356,64 @@ TEST(DijkstraCsr, MatchesAdjacencyListReference) {
       return costs[static_cast<std::size_t>(l)];
     };
     DijkstraWorkspace csr;
-    DijkstraWorkspace adj;
     for (NodeId src = 0; src < t.num_nodes(); src += 13) {
       RunDijkstra(t, src, cost, csr);
-      detail::RunDijkstraLoopAdjList(t, src, cost, adj);
-      ExpectSameTree(t, csr, adj, "csr-vs-adjlist");
+      ExpectSameTree(t, csr, oracle::RunDijkstraAdjList(t, src, cost),
+                     "csr-vs-adjlist");
     }
+  }
+}
+
+/// Random double costs drawn from a few values, so ties are common, with
+/// zero-cost and forbidden links mixed in.
+std::vector<double> RandomTiedCosts(const Topology& t, Rng& rng) {
+  std::vector<double> costs(static_cast<std::size_t>(t.num_links()));
+  for (auto& c : costs) {
+    if (rng.Bernoulli(0.1)) {
+      c = kInfiniteCost;
+    } else if (rng.Bernoulli(0.15)) {
+      c = 0.0;
+    } else {
+      c = 0.5 * static_cast<double>(1 + rng.Index(4));
+    }
+  }
+  return costs;
+}
+
+TEST(Dijkstra, EarlyExitPathEqualsFullTreePath) {
+  // CheapestPath stops once dst settles; its route must be the full
+  // tree's, tie-breaks included, and it must agree on unreachability.
+  for (std::uint64_t seed : {3u, 17u, 29u}) {
+    Topology t = MakeWaxman(net::WaxmanConfig{
+        .nodes = 50, .avg_degree = 3.5, .seed = seed});
+    const NodeId isolated = t.AddNode();  // never reachable
+    Rng rng(seed * 13 + 1);
+    const std::vector<double> costs = RandomTiedCosts(t, rng);
+    const auto cost = [&](LinkId l) {
+      return costs[static_cast<std::size_t>(l)];
+    };
+    DijkstraWorkspace early;
+    int reached = 0;
+    int unreached = 0;
+    for (NodeId src = 0; src < isolated; src += 5) {
+      const DijkstraTree full = RunDijkstra(t, src, cost);
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+        if (dst == src) continue;
+        const auto fast = CheapestPath(t, src, dst, cost, early);
+        const auto ref = full.PathTo(t, dst);
+        ASSERT_EQ(fast.has_value(), ref.has_value()) << src << "->" << dst;
+        if (fast.has_value()) {
+          ++reached;
+          ASSERT_EQ(LinksOf(*fast), LinksOf(*ref)) << src << "->" << dst;
+          ASSERT_EQ(early.Dist(dst), full.dist[static_cast<std::size_t>(dst)]);
+        } else {
+          ++unreached;
+        }
+      }
+      EXPECT_FALSE(CheapestPath(t, src, isolated, cost, early).has_value());
+    }
+    EXPECT_GT(reached, 0);
+    EXPECT_GT(unreached, 0);
   }
 }
 
@@ -347,7 +437,7 @@ TEST(MaxHopsDp, CsrMatchesAdjacencyListReference) {
     const int max_hops = 1 + static_cast<int>(rng.Index(8));
     const auto a = CheapestPathMaxHops(t, src, dst, cost, max_hops, csr);
     const auto b =
-        detail::CheapestPathMaxHopsAdjList(t, src, dst, cost, max_hops, adj);
+        oracle::CheapestPathMaxHopsAdjList(t, src, dst, cost, max_hops, adj);
     ASSERT_EQ(a.has_value(), b.has_value())
         << src << "->" << dst << " hops<=" << max_hops;
     if (a.has_value()) EXPECT_EQ(LinksOf(*a), LinksOf(*b));

@@ -16,7 +16,10 @@
 #
 # Pass criteria: chaos digest == reference digest (byte-identical state),
 # chaos server-side admitted == reference (zero duplicate admissions),
-# zero client errors/aborts, clean audits, graceful drains.
+# zero client errors/aborts, clean audits, graceful drains, and at least
+# one client reconnect per SIGKILL that landed before the workers' last
+# request. A kill after that point (while drtpload reads the final stats)
+# has no worker left to reconnect, so it is fired but not counted.
 #
 # Used both as a ctest (tools/CMakeLists.txt) and by the CI
 # daemon-crash-chaos job.
@@ -30,7 +33,7 @@ WORK=$4
 mkdir -p "$WORK"
 SOCK="$WORK/chaos.sock"
 TOPO="$WORK/chaos40.topo"
-LOAD_ARGS="--mode=closed --workers=1 --lambda=10 --duration=600 \
+LOAD_ARGS="--mode=closed --workers=1 --lambda=10 --duration=1500 \
   --seed=23 --reconnect_s=60"
 rm -f "$SOCK" "$WORK/ref.wal" "$WORK/ref.wal.snap" \
   "$WORK/chaos.wal" "$WORK/chaos.wal.snap"
@@ -97,11 +100,15 @@ LPID=$!
 # SIGKILL the daemon at staggered points while the load is still running,
 # restarting with --recover each time. Early pauses land mid-ramp, later
 # ones deep into the workload; the loop stops killing once the load ends.
+# Each kill's wall-clock time, taken once the signal is sent, goes to
+# kill_times for comparison with drtpload's last_send_unix_s.
 KILLS=0
+: > "$WORK/kill_times"
 for pause in 0.4 0.6 0.9 1.2 1.5; do
   sleep "$pause"
   kill -0 "$LPID" 2>/dev/null || break
   kill -KILL "$DPID"
+  date +%s.%N >> "$WORK/kill_times"
   wait "$DPID" 2>/dev/null || true
   KILLS=$((KILLS + 1))
   start_daemon "$WORK/chaos.wal" "--recover" "$WORK/chaos.d$KILLS.err"
@@ -126,14 +133,20 @@ while [ "$k" -le "$KILLS" ]; do
   k=$((k + 1))
 done
 
-python3 - "$WORK/ref.json" "$WORK/chaos.json" "$KILLS" <<'EOF'
+python3 - "$WORK/ref.json" "$WORK/chaos.json" "$WORK/kill_times" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     ref = json.load(f)
 with open(sys.argv[2]) as f:
     chaos = json.load(f)
-kills = int(sys.argv[3])
-assert kills >= 1, "load finished before any SIGKILL fired — lengthen it"
+with open(sys.argv[3]) as f:
+    kill_times = [float(line) for line in f if line.strip()]
+# Only kills before the workers' last request can force a reconnect.
+last_send = chaos["throughput"]["last_send_unix_s"]
+kills = sum(1 for t in kill_times if t < last_send)
+assert kills >= 1, (
+    f"none of {len(kill_times)} SIGKILLs landed before the last request "
+    "— lengthen the load")
 for name, r in (("ref", ref), ("chaos", chaos)):
     assert r["schema"] == "drtp.bench.drtpd/1", r["schema"]
     assert r["totals"]["admitted"] > 0, f"{name}: no admissions"
@@ -154,7 +167,8 @@ assert chaos["totals"]["admitted"] == ref["totals"]["admitted"], "client admit"
 assert chaos["totals"]["blocked"] == ref["totals"]["blocked"], "client block"
 assert chaos["totals"]["reconnects"] >= kills, (
     f"only {chaos['totals']['reconnects']} reconnects for {kills} kills")
-print(f"daemon_crash_chaos: OK — {kills} SIGKILLs, "
+print(f"daemon_crash_chaos: OK — {kills} of {len(kill_times)} SIGKILLs "
+      "before the last request, "
       f"{chaos['totals']['reconnects']} reconnects, "
       f"{chaos['totals']['dup_acks']} dup-acks, "
       f"digest {chaos['daemon']['digest']} matches reference")

@@ -177,7 +177,19 @@ struct Tally {
   /// Releases of connections whose admit was answered blocked: skipped
   /// in closed loop, answered not_found in open loop.
   std::int64_t blocked_releases = 0;
+  /// Wall-clock (Unix epoch) time of the last request send by any worker,
+  /// retries included; after it the workers no longer touch the daemon.
+  double last_send_unix_s = 0.0;
   std::vector<std::int64_t> latency_ns;
+
+  /// Stamps a send; the caller holds `mu`.
+  void NoteSend() {
+    last_send_unix_s =
+        std::max(last_send_unix_s,
+                 std::chrono::duration<double>(
+                     std::chrono::system_clock::now().time_since_epoch())
+                     .count());
+  }
 };
 
 /// What a response payload means before counting it: success, a
@@ -433,6 +445,10 @@ int main(int argc, char** argv) {
                 std::lock_guard<std::mutex> l(tally.mu);
                 ++tally.reconnects;
               }
+              {
+                std::lock_guard<std::mutex> l(tally.mu);
+                tally.NoteSend();
+              }
               const std::int64_t t0 = MonotonicClock::Instance().NowNs();
               if (!client.Call(payload, &response)) {
                 connected = false;
@@ -551,6 +567,10 @@ int main(int argc, char** argv) {
               MonotonicClock::Instance().NowNs();
         }
         ++next_id;
+        {
+          std::lock_guard<std::mutex> l(tally.mu);
+          tally.NoteSend();
+        }
         if (!client.Send(payload)) {
           std::lock_guard<std::mutex> l(tally.mu);
           ++tally.transport_failures;
@@ -630,6 +650,7 @@ int main(int argc, char** argv) {
     w.EndObject();
     w.Key("throughput").BeginObject();
     w.Key("wall_s").Double(wall_s);
+    w.Key("last_send_unix_s").Double(tally.last_send_unix_s);
     w.Key("requests_per_s")
         .Double(wall_s > 0.0
                     ? static_cast<double>(tally.ok + tally.errors) / wall_s

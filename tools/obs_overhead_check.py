@@ -35,6 +35,7 @@ INSTRUMENTED = [
     "dijkstra_workspace",
     "backup_select_dlsr",
     "backup_select_plsr",
+    "bf_flood",
     "failure_sweep_indexed",
 ]
 
