@@ -24,6 +24,7 @@
 
 #include "common/clock.h"
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "drtp/admission.h"
 #include "drtp/bounded_flood.h"
@@ -39,7 +40,6 @@
 #include "oracle/failure_scan.h"
 #include "oracle/route_reference.h"
 #include "routing/dijkstra.h"
-#include "runner/json.h"
 #include "sim/paper.h"
 #include "sim/scenario.h"
 #include "svc/snapshot.h"
@@ -591,7 +591,7 @@ std::string RenderJson(const std::vector<KernelResult>& results,
                        const LoadedNet& fx,
                        const std::vector<LargeTopo>& large, bool quick,
                        double min_time_s) {
-  runner::JsonWriter w;
+  JsonWriter w;
   w.BeginObject();
   w.Key("schema").String(kSchema);
   w.Key("quick").Bool(quick);

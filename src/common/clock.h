@@ -1,9 +1,9 @@
 // Clock abstraction for the service layer.
 //
 // The simulator's Time is virtual and deterministic; the daemon also needs
-// *wall* time (latency stamps, batch linger deadlines, log lines). Code
-// that must stay testable takes a Clock&, so tests can drive deadlines
-// with a ManualClock instead of sleeping.
+// *wall* time (latency stamps, log lines). Code that must stay testable
+// takes a Clock&, so tests can drive deadlines with a ManualClock instead
+// of sleeping.
 #pragma once
 
 #include <chrono>

@@ -30,9 +30,9 @@ inline LogLevel GetLogLevel() {
 
 namespace detail {
 
-/// Small dense per-thread tag ("t0", "t1", ...) in first-log order — the
-/// daemon's decode workers and engine thread interleave on stderr, and
-/// correlating a log line with a drtp.trace/1 event needs to know which.
+/// Small dense per-thread tag ("t0", "t1", ...) in first-log order — sweep
+/// workers interleave on stderr, and correlating a log line with a
+/// drtp.trace/1 event needs to know which.
 int ThisThreadLogTag();
 
 /// Renders the bracketed line prefix: level, UTC wall-clock timestamp

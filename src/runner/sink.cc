@@ -7,8 +7,8 @@
 
 #include "common/check.h"
 #include "common/digest.h"
+#include "common/json.h"
 #include "runner/checkpoint.h"
-#include "runner/json.h"
 
 namespace drtp::runner {
 

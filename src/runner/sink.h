@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/table.h"
 #include "obs/metrics.h"
-#include "runner/json.h"
 #include "sim/metrics.h"
 #include "sim/traffic.h"
 

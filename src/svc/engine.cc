@@ -389,8 +389,8 @@ std::string Engine::DoStats(const Request& req) {
   w.Key("digest").String(DigestHex(NetworkStateDigest(net_)));
   w.Key("audit_checks").Int(audit_checks());
   w.Key("audit_violations").Int(audit_violations());
-  // PR 8 additions — deterministic for a fixed request sequence, so the
-  // threads=1 vs threads=4 byte-equality contract still holds.
+  // Engine gauges — deterministic for a fixed request sequence, like
+  // every field above.
   w.Key("degraded").Int(DegradedCount());
   w.Key("batch_last").Int(stats_.batch_last);
   w.Key("request_log_events").Int(static_cast<std::int64_t>(log_.size()));
@@ -400,9 +400,7 @@ std::string Engine::DoStats(const Request& req) {
   w.Key("wal_bytes").Int(
       wal_ != nullptr ? static_cast<std::int64_t>(wal_->bytes()) : 0);
   w.Key("snapshots").Int(stats_.snapshots);
-  w.Key("shed").Int(shed_ != nullptr
-                        ? shed_->load(std::memory_order_relaxed)
-                        : 0);
+  w.Key("shed").Int(shed_ != nullptr ? *shed_ : 0);
   if (req.metrics) {
     // Opt-in only: the snapshot holds wall-clock timing histograms and
     // process-global counters, which are NOT deterministic.

@@ -18,7 +18,6 @@
 // bit-for-bit (svc_test pins this via NetworkStateDigest).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -99,8 +98,9 @@ struct RecoverReport {
   std::int64_t events_replayed = 0;
 };
 
-/// Not thread-safe: the pipeline serializes every batch through one
-/// engine thread, which is precisely what makes responses deterministic.
+/// Not thread-safe: the server's poll loop runs every batch on its own
+/// thread, one batch at a time, which is what makes responses
+/// deterministic.
 class Engine {
  public:
   Engine(const net::Topology& topo, EngineOptions options);
@@ -159,7 +159,7 @@ class Engine {
 
   /// Points the stats RPC's `shed` gauge at the pipeline's shed counter
   /// (the engine never sheds; the server does, before decode).
-  void BindShedCounter(const std::atomic<std::int64_t>* counter) {
+  void BindShedCounter(const std::int64_t* counter) {
     shed_ = counter;
   }
 
@@ -215,7 +215,7 @@ class Engine {
   /// events being replayed are already durable) and snapshot cadence.
   bool replaying_ = false;
   /// Pipeline shed counter for the stats RPC (null until bound).
-  const std::atomic<std::int64_t>* shed_ = nullptr;
+  const std::int64_t* shed_ = nullptr;
   bool flight_dumped_ = false;  ///< audit-violation dump fired already
 };
 

@@ -77,7 +77,7 @@ struct WalRecovery {
 /// throws ParseError: that WAL belongs to a different daemon.
 WalRecovery RecoverWal(const std::string& path, std::uint64_t config_digest);
 
-/// Append handle. Not thread-safe: only the engine thread appends.
+/// Append handle. Not thread-safe: only the engine's batch path appends.
 class Wal {
  public:
   /// Opens `path` for appending. A missing or empty file gets the header

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "runner/json.h"
+#include "common/json.h"
 #include "runner/sink.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"

@@ -56,7 +56,7 @@ start_daemon() {
   rm -f "$SOCK"
   # shellcheck disable=SC2086  # $2 is intentionally word-split
   "$DRTPD" --socket="$SOCK" --topo="$TOPO" --scheme=D-LSR \
-    --threads=1 --batch=1 --audit-interval=256 \
+    --batch=1 --audit-interval=256 \
     --wal="$1" --snapshot-interval=64 $2 2>"$3" &
   DPID=$!
   i=0

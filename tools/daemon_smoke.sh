@@ -28,7 +28,7 @@ rm -f "$SOCK" "$FLIGHT"
 "$DRTPSIM" topo --kind=waxman --nodes=60 --degree=4 --seed=11 --out="$TOPO"
 
 "$DRTPD" --socket="$SOCK" --topo="$TOPO" --scheme=D-LSR \
-  --threads=2 --batch=64 --audit-interval=4 \
+  --batch=64 --audit-interval=4 \
   --audit-out="$WORK/drtpd.audit.jsonl" \
   --flight-dump="$FLIGHT" &
 DPID=$!
@@ -100,9 +100,10 @@ assert r["totals"]["errors"] == 0, f"{r['totals']['errors']} rpc errors"
 assert r["totals"]["transport_failures"] == 0, "transport failures"
 assert r["throughput"]["admissions_per_s"] > 0, "zero admissions/sec"
 assert r["daemon"]["audit_violations"] == 0, "audit violations"
+d = r["daemon"]
 print(f"daemon_smoke: {r['totals']['admitted']} admitted, "
       f"{r['throughput']['admissions_per_s']:.0f} admissions/s, "
-      f"P_bk={r['daemon']['pbk']:.3f}")
+      f"P_bk={d['pbk']:.3f}, batch_mean={d['frames'] / d['batches']:.2f}")
 EOF
 
 # SIGUSR1 must produce a flight-recorder dump without disturbing serving.
@@ -169,7 +170,7 @@ for MODE in closed open; do
   SAT_OUT="$WORK/sat-$MODE.json"
   rm -f "$SAT_SOCK"
   "$DRTPD" --socket="$SAT_SOCK" --topo="$TOPO" --scheme=D-LSR \
-    --threads=2 --batch=64 &
+    --batch=64 &
   SPID=$!
   trap 'kill "$SPID" 2>/dev/null || true' EXIT
   wait_for_socket "$SAT_SOCK"
@@ -184,9 +185,10 @@ assert t["blocked"] > 0, "saturating run blocked nothing"
 assert t["errors"] == 0, f"{t['errors']} rpc errors under saturation"
 assert t["transport_failures"] == 0, "transport failures"
 assert t["blocked_releases"] > 0, "no release of a blocked connection"
+d = r["daemon"]
 print(f"daemon_smoke: saturated {r['mode']} loop: {t['admitted']} admitted, "
       f"{t['blocked']} blocked, {t['blocked_releases']} blocked releases, "
-      f"0 errors")
+      f"0 errors, batch_mean={d['frames'] / d['batches']:.2f}")
 EOF
   drain "$SPID" "$SAT_SOCK"
 done

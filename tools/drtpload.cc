@@ -672,6 +672,7 @@ int main(int argc, char** argv) {
     w.Key("active").Int(Field(r1, "active").AsInt64());
     w.Key("admitted").Int(Field(r1, "admitted").AsInt64());
     w.Key("blocked").Int(Field(r1, "blocked").AsInt64());
+    w.Key("frames").Int(Field(r1, "frames").AsInt64());
     w.Key("batches").Int(Field(r1, "batches").AsInt64());
     w.Key("pbk").Double(Field(r1, "pbk").AsDouble());
     w.Key("digest").String(Field(r1, "digest").AsString());

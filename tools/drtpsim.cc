@@ -25,6 +25,7 @@
 #include <string>
 
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/table.h"
 #include "fault/auditor.h"
 #include "fault/plan.h"
@@ -34,7 +35,6 @@
 #include "drtp/drtp.h"
 #include "drtp/failure.h"
 #include "net/graphio.h"
-#include "runner/json.h"
 #include "runner/sink.h"
 #include "sim/experiment.h"
 #include "sim/paper.h"
@@ -329,7 +329,7 @@ int CmdRun(int argc, char** argv) {
   }
   if (!metrics_out.empty()) {
     const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
-    runner::JsonWriter w;
+    JsonWriter w;
     snap.WriteJson(w, metrics_timings);
     std::ofstream os(metrics_out, std::ios::trunc);
     if (!os.good()) return Fail("cannot write '" + metrics_out + "'");
@@ -337,7 +337,7 @@ int CmdRun(int argc, char** argv) {
   }
 
   if (format == "json") {
-    runner::JsonWriter w;
+    JsonWriter w;
     w.BeginObject();
     w.Key("schema").String(runner::kRunJsonSchema);
     w.Key("topo").String(topo_path);

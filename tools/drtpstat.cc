@@ -2,8 +2,8 @@
 //
 // Polls a running daemon's `stats` RPC (with the opt-in `metrics` flag)
 // and renders a top-like view: engine gauges (active/degraded
-// connections, batch depth, reorder-buffer occupancy, request-log size,
-// state digest) plus a per-pipeline-stage latency table with
+// connections, batch depth, queued requests, request-log size, state
+// digest) plus a per-pipeline-stage latency table with
 // count/mean/p50/p95/p99, computed through the same log-bucket
 // interpolation (`obs::InterpolateQuantile`) the daemon's histograms are
 // stored in. Between polls the bucket arrays are differenced, so the
@@ -54,7 +54,8 @@ const JsonValue& Field(const JsonValue& object, std::string_view key) {
 }
 
 /// The pipeline stages reported per request, in pipeline order, plus the
-/// end-to-end total. Names match the histograms pipeline.cc registers.
+/// end-to-end total. Names match the histograms pipeline.cc registers;
+/// `reorder` is the queue wait from decode to batch start.
 struct StageSpec {
   const char* label;
   const char* metric;
@@ -161,11 +162,11 @@ void RenderSnapshot(const JsonValue& result,
                     const std::map<std::string, HistState>& hists,
                     const std::map<std::string, HistState>* prev,
                     double interval_s) {
-  const double gauge_reorder = [&] {
+  const double gauge_queue = [&] {
     const JsonValue* metrics = result.Find("metrics");
     if (metrics == nullptr) return 0.0;
     const JsonValue* g =
-        Field(*metrics, "gauges").Find("drtp.svc.pipeline.reorder_depth");
+        Field(*metrics, "gauges").Find("drtp.svc.pipeline.queue_depth");
     return g != nullptr ? g->AsDouble() : 0.0;
   }();
 
@@ -179,11 +180,11 @@ void RenderSnapshot(const JsonValue& result,
       static_cast<long long>(Field(result, "released").AsInt64()),
       static_cast<long long>(Field(result, "errors").AsInt64()));
   std::printf(
-      "pipeline: %lld batches (last %lld), reorder depth %.0f, "
+      "pipeline: %lld batches (last %lld), queue depth %.0f, "
       "request log %lld events\n",
       static_cast<long long>(Field(result, "batches").AsInt64()),
       static_cast<long long>(Field(result, "batch_last").AsInt64()),
-      gauge_reorder,
+      gauge_queue,
       static_cast<long long>(Field(result, "request_log_events").AsInt64()));
   std::printf(
       "network: %lld nodes, %lld links | pbk %.3f | audit %lld/%lld | "

@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
     }
     if (!metrics_out.empty()) {
       const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
-      runner::JsonWriter w;
+      JsonWriter w;
       snap.WriteJson(w, metrics_timings);
       std::ofstream os(metrics_out, std::ios::trunc);
       DRTP_CHECK_MSG(os.good(), "cannot write '" << metrics_out << "'");
