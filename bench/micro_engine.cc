@@ -151,6 +151,27 @@ void MeasureFlood(Timer& timer, std::vector<KernelResult>& out,
   }
 }
 
+/// One backup release and re-registration per call, rotating over the
+/// protected connections of `net`: the per-hop register/release path
+/// (backup table, APLV, demand, spare reconcile) on a loaded network,
+/// which is left as it was after every call.
+KernelResult MeasureBackupHopCycle(Timer& timer, const std::string& name,
+                                   core::DrtpNetwork& net) {
+  std::vector<std::pair<ConnId, routing::Path>> protected_conns;
+  for (const auto& [id, conn] : net.connections()) {
+    if (conn.backups.size() == 1) {
+      protected_conns.emplace_back(id, conn.backups[0]);
+    }
+  }
+  std::size_t next = 0;
+  return timer.Measure(name, [&] {
+    const auto& [id, backup] = protected_conns[next];
+    next = (next + 1) % protected_conns.size();
+    net.ReleaseBackupAt(id, 0);
+    DoNotOptimize(net.RegisterBackup(id, backup));
+  });
+}
+
 /// The shared fixture: the paper's 60-node topology loaded with ~300
 /// protected connections, so APLVs, spare pools and the reverse indexes
 /// are all non-trivial.
@@ -242,6 +263,9 @@ std::vector<KernelResult> RunSuite(LoadedNet& fx, double min_time_s,
   out.push_back(timer.Measure("failure_sweep_indexed", [&] {
     DoNotOptimize(core::EvaluateAllSingleLinkFailures(fx.net));
   }));
+
+  // --- per-hop backup register/release ------------------------------------
+  out.push_back(MeasureBackupHopCycle(timer, "backup_hop_cycle", fx.net));
 
   // --- APLV / conflict-vector primitives ---------------------------------
   // A 5-link LSET spread across the id range (typical primary length).
@@ -582,6 +606,8 @@ std::vector<KernelResult> RunLargeSuite(double min_time_s,
       out.push_back(timer.Measure(name("failure_sweep_indexed"), [&] {
         DoNotOptimize(core::EvaluateAllSingleLinkFailures(loaded));
       }));
+      out.push_back(
+          MeasureBackupHopCycle(timer, name("backup_hop_cycle"), loaded));
     }
   }
   return out;
@@ -631,7 +657,8 @@ int Validate(const std::vector<KernelResult>& results) {
       "publish_full",        "publish_incremental", "dijkstra_tree_alloc",
       "dijkstra_workspace",  "backup_select_dlsr",  "backup_select_plsr",
       "bf_flood",            "bf_flood_reference",
-      "failure_sweep_scan",  "failure_sweep_indexed", "aplv_update",
+      "failure_sweep_scan",  "failure_sweep_indexed", "backup_hop_cycle",
+      "aplv_update",
       "cv_count_in",         "cv_and_popcount",     "obs_span_overhead",
       "flight_recorder_append", "pipeline_span_stamp",
       "request_cycle_dlsr",  "admit_one_by_one",    "admit_batch",
@@ -641,6 +668,7 @@ int Validate(const std::vector<KernelResult>& results) {
       "cv_count_in_1k",      "cv_and_popcount_1k",
       "bf_flood_1k",         "bf_flood_reference_1k",
       "failure_sweep_scan_1k", "failure_sweep_indexed_1k",
+      "backup_hop_cycle_1k",
       "dijkstra_adjlist_10k", "dijkstra_csr_10k",   "dijkstra_radix_10k",
       "minhop_binary_10k",   "minhop_radix_10k",    "aplv_update_10k",
       "cv_count_in_10k",     "cv_and_popcount_10k",

@@ -1,6 +1,7 @@
 // Per-router DR-connection manager (§2.2, §5).
 //
-// Each router runs one manager that owns, for every *outgoing* link:
+// Each router runs one manager that keeps, for every *outgoing* link (one
+// LinkId-indexed ManagedLink record in the network's table):
 //   - the link's APLV (updated from the primary LSETs carried in
 //     backup-path register/release packets),
 //   - the backup channel table (which backups traverse the link),
@@ -16,7 +17,8 @@
 // database, exactly as the paper prescribes for scalability.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,6 +73,37 @@ class DemandVector {
   Bandwidth max_ = 0;
 };
 
+/// A link's backup channel table: which backups are registered on it, with
+/// the bandwidth and primary LSET each registered. Flat and sorted by
+/// connection id; the LSETs sit end to end in one arena, so registering or
+/// releasing a hop allocates nothing once the vectors have grown.
+class BackupTable {
+ public:
+  int size() const { return static_cast<int>(ids_.size()); }
+
+  /// Index of `id`'s entry, or -1.
+  int Find(ConnId id) const;
+
+  /// Adds `id` with a copy of `lset` in the arena; false, and no change,
+  /// when `id` is already present.
+  bool Insert(ConnId id, Bandwidth bw, const routing::LinkSet& lset);
+
+  /// Removes entry `i`.
+  void Erase(int i);
+
+  Bandwidth bw(int i) const { return bws_[static_cast<std::size_t>(i)]; }
+  std::span<const LinkId> lset(int i) const;
+
+ private:
+  std::uint32_t Begin(std::size_t i) const { return i == 0 ? 0 : ends_[i - 1]; }
+
+  std::vector<ConnId> ids_;  // ascending
+  std::vector<Bandwidth> bws_;
+  /// Entry i's LSET is lsets_[ends_[i-1], ends_[i]) (from 0 when i == 0).
+  std::vector<std::uint32_t> ends_;
+  std::vector<LinkId> lsets_;
+};
+
 /// State the manager keeps per owned (outgoing) link.
 struct ManagedLink {
   lsdb::Aplv aplv;
@@ -82,16 +115,22 @@ struct ManagedLink {
   /// Sum of the bandwidths of all backups on the link (dedicated-spare
   /// mode's target).
   Bandwidth total_backup_bw = 0;
-  /// Backup channel table: conn id -> (primary LSET, bandwidth) as
-  /// registered.
-  std::unordered_map<ConnId, std::pair<routing::LinkSet, Bandwidth>> backups;
+  BackupTable backups;
 };
+
+/// One empty ManagedLink per link of `topo`, indexed by LinkId. A network
+/// keeps one such table; each record is read and written only through the
+/// manager of the link's source router.
+std::vector<ManagedLink> MakeLinkTable(const net::Topology& topo);
 
 /// One router's DR-connection manager.
 class DrConnectionManager {
  public:
+  /// `links` is a LinkId-indexed table (MakeLinkTable) that outlives the
+  /// manager; the manager touches only the records of its out-links.
   DrConnectionManager(NodeId node, const net::Topology& topo,
-                      net::BandwidthLedger& ledger, SpareMode mode);
+                      net::BandwidthLedger& ledger, SpareMode mode,
+                      std::span<ManagedLink> links);
 
   NodeId node() const { return node_; }
 
@@ -111,10 +150,10 @@ class DrConnectionManager {
   /// Re-evaluates the spare pool of `link` against its target; called when
   /// free bandwidth reappears (e.g., a primary on this link terminated,
   /// §5 last paragraph). Returns true when the pool meets the target.
-  bool ReconcileSpare(LinkId link);
+  bool ReconcileSpare(LinkId link) { return Reconcile(link, Owned(link)); }
 
   /// The spare bandwidth this link *should* hold for its backups.
-  Bandwidth SpareTarget(LinkId link) const;
+  Bandwidth SpareTarget(LinkId link) const { return Target(Owned(link)); }
 
   /// True when the link currently holds less spare than its target.
   bool IsOverbooked(LinkId link) const;
@@ -123,13 +162,15 @@ class DrConnectionManager {
   const ManagedLink& managed(LinkId link) const { return Owned(link); }
 
   /// Number of backups registered on the link.
-  int BackupCount(LinkId link) const {
-    return static_cast<int>(Owned(link).backups.size());
-  }
+  int BackupCount(LinkId link) const { return Owned(link).backups.size(); }
 
  private:
   const ManagedLink& Owned(LinkId link) const;
-  ManagedLink& Owned(LinkId link);
+  ManagedLink& Owned(LinkId link) {
+    return const_cast<ManagedLink&>(std::as_const(*this).Owned(link));
+  }
+  Bandwidth Target(const ManagedLink& ml) const;
+  bool Reconcile(LinkId link, const ManagedLink& ml);
 
   NodeId node_;
   /// For SrlgVector maintenance (LinkId -> SrlgId lookups). SRLGs must be
@@ -138,8 +179,7 @@ class DrConnectionManager {
   const net::Topology* topo_;
   net::BandwidthLedger& ledger_;
   SpareMode mode_;
-  /// Keyed by LinkId; only this router's outgoing links are present.
-  std::unordered_map<LinkId, ManagedLink> links_;
+  std::span<ManagedLink> links_;  // indexed by LinkId
 };
 
 }  // namespace drtp::core

@@ -27,13 +27,14 @@ DrtpNetwork::DrtpNetwork(net::Topology topo, NetworkConfig config)
     : topo_(std::move(topo)),
       config_(config),
       ledger_(topo_),
+      links_(MakeLinkTable(topo_)),
       link_up_(static_cast<std::size_t>(topo_.num_links()), 1),
       primary_conns_(static_cast<std::size_t>(topo_.num_links())),
       backup_conns_(static_cast<std::size_t>(topo_.num_links())),
       dirty_flag_(static_cast<std::size_t>(topo_.num_links()), 0) {
   managers_.reserve(static_cast<std::size_t>(topo_.num_nodes()));
   for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
-    managers_.emplace_back(n, topo_, ledger_, config_.spare_mode);
+    managers_.emplace_back(n, topo_, ledger_, config_.spare_mode, links_);
   }
   dirty_links_.reserve(static_cast<std::size_t>(topo_.num_links()));
 }
@@ -139,8 +140,7 @@ int DrtpNetwork::RegisterBackup(ConnId id, const routing::Path& backup) {
       .conn_id = id, .bw = conn.bw, .primary_lset = conn.primary_lset};
   int overbooked_hops = 0;
   for (LinkId l : backup.links()) {
-    const NodeId router = topo_.link(l).src;
-    if (!manager(router).RegisterBackupHop(l, packet)) {
+    if (!OwnerOf(l).RegisterBackupHop(l, packet)) {
       ++overbooked_hops;
       overbooked_.insert(l);
     }
@@ -160,7 +160,7 @@ void DrtpNetwork::ReleaseBackupAt(ConnId id, std::size_t index) {
   const BackupReleasePacket packet{
       .conn_id = id, .bw = conn.bw, .primary_lset = conn.primary_lset};
   for (LinkId l : conn.backups[index].links()) {
-    manager(topo_.link(l).src).ReleaseBackupHop(l, packet);
+    OwnerOf(l).ReleaseBackupHop(l, packet);
     // A connection's backups are pairwise disjoint, so no surviving backup
     // of `id` can still hold this link.
     SortedErase(backup_conns_[static_cast<std::size_t>(l)], id);
@@ -221,7 +221,7 @@ bool DrtpNetwork::ActivateBackup(ConnId id, std::size_t index, Time now) {
     }
     reserved.push_back(l);
     MarkDirty(l);
-    if (manager(topo_.link(l).src).IsOverbooked(l)) overbooked_.insert(l);
+    if (OwnerOf(l).IsOverbooked(l)) overbooked_.insert(l);
   }
   if (!ok) {
     for (LinkId r : reserved) ledger_.ReleasePrime(r, conn.bw);
@@ -251,13 +251,18 @@ DrConnectionManager& DrtpNetwork::manager(NodeId n) {
   return managers_[static_cast<std::size_t>(n)];
 }
 
+DrConnectionManager& DrtpNetwork::OwnerOf(LinkId l) {
+  return managers_[static_cast<std::size_t>(topo_.link(l).src)];
+}
+
 const DrConnectionManager& DrtpNetwork::manager(NodeId n) const {
   DRTP_CHECK(n >= 0 && n < topo_.num_nodes());
   return managers_[static_cast<std::size_t>(n)];
 }
 
 const lsdb::Aplv& DrtpNetwork::aplv(LinkId l) const {
-  return manager(topo_.link(l).src).aplv(l);
+  DRTP_CHECK(l >= 0 && l < topo_.num_links());
+  return links_[static_cast<std::size_t>(l)].aplv;
 }
 
 std::vector<ConnId> DrtpNetwork::ConnsWithPrimaryOn(LinkId l) const {
@@ -287,7 +292,7 @@ std::vector<LinkId> DrtpNetwork::OverbookedLinks() const {
 }
 
 void DrtpNetwork::WriteRecordTo(lsdb::LinkRecord& rec, LinkId l) const {
-  const core::ManagedLink& ml = manager(topo_.link(l).src).managed(l);
+  const ManagedLink& ml = links_[static_cast<std::size_t>(l)];
   rec.aplv_l1 = ml.aplv.L1();
   rec.cv = ml.aplv.conflict_vector();
   // Unconditional (even on untagged topologies, where it is an empty
@@ -358,12 +363,10 @@ void DrtpNetwork::PublishFullTo(lsdb::LinkStateDb& db, Time now) const {
 void DrtpNetwork::ReconcileOverbooked() {
   for (auto it = overbooked_.begin(); it != overbooked_.end();) {
     const LinkId l = *it;
-    MarkDirty(l);  // ReconcileSpare may grow or shrink the pool
-    if (manager(topo_.link(l).src).ReconcileSpare(l)) {
-      it = overbooked_.erase(it);
-    } else {
-      ++it;
-    }
+    const Bandwidth spare = ledger_.spare(l);
+    const bool met = OwnerOf(l).ReconcileSpare(l);
+    if (ledger_.spare(l) != spare) MarkDirty(l);
+    it = met ? overbooked_.erase(it) : std::next(it);
   }
 }
 
@@ -399,14 +402,13 @@ void DrtpNetwork::CheckConsistency() const {
   for (LinkId l = 0; l < topo_.num_links(); ++l) {
     DRTP_CHECK_MSG(expected[static_cast<std::size_t>(l)] == aplv(l),
                    "APLV mismatch on link " << l);
-    DRTP_CHECK_MSG(
-        expected_srlg[static_cast<std::size_t>(l)] ==
-            manager(topo_.link(l).src).managed(l).srlg_aplv,
-        "per-SRLG aggregate mismatch on link " << l);
-    const DemandVector& demand = manager(topo_.link(l).src).managed(l).demand;
+    const ManagedLink& ml = links_[static_cast<std::size_t>(l)];
+    DRTP_CHECK_MSG(expected_srlg[static_cast<std::size_t>(l)] == ml.srlg_aplv,
+                   "per-SRLG aggregate mismatch on link " << l);
     for (LinkId j = 0; j < topo_.num_links(); ++j) {
       DRTP_CHECK_MSG(
-          expected_demand[static_cast<std::size_t>(l)].at(j) == demand.at(j),
+          expected_demand[static_cast<std::size_t>(l)].at(j) ==
+              ml.demand.at(j),
           "demand mismatch on link " << l << " element " << j);
     }
     // Spare pools meet their targets unless the link is out of free

@@ -162,10 +162,15 @@ class DrtpNetwork {
  private:
   void ReconcileOverbooked();
 
-  /// Records that link `l`'s advertised state may have changed since the
-  /// last publication. Cheap (bitmap-deduplicated); over-marking is
-  /// harmless, missing a mark is a staleness bug — every mutation path
-  /// below marks the links it touches.
+  /// The manager of `l`'s source router, without the public manager()'s
+  /// conservative marking: every internal caller marks exactly the one
+  /// link it changes.
+  DrConnectionManager& OwnerOf(LinkId l);
+
+  /// Records that link `l`'s advertised state changed since the last
+  /// publication. Cheap (bitmap-deduplicated). Mark exactly: every extra
+  /// mark costs a record rewrite at the next publish, and a missing mark
+  /// is a staleness bug (caught by PublishTo's debug compare).
   void MarkDirty(LinkId l);
   void MarkLinkUpDown(LinkId l, bool up);
   /// Renders link `l`'s advertisement into `rec` in place (no allocation:
@@ -177,6 +182,9 @@ class DrtpNetwork {
   net::Topology topo_;
   NetworkConfig config_;
   net::BandwidthLedger ledger_;
+  /// Per-link protection state (APLV, demand, backup table), indexed by
+  /// LinkId; each record belongs to the manager of the link's source.
+  std::vector<ManagedLink> links_;
   std::vector<DrConnectionManager> managers_;  // indexed by NodeId
   std::map<ConnId, DrConnection> conns_;
   std::vector<char> link_up_;

@@ -15,66 +15,71 @@ std::int32_t Aplv::count(LinkId j) const {
 void Aplv::AddPrimaryLset(const routing::LinkSet& lset) {
   for (LinkId j : lset) {
     DRTP_CHECK(j >= 0 && j < size());
-    std::int32_t c;
-    if (!wide()) {
-      c = ++counts_[static_cast<std::size_t>(j)];
+    Increment(j);
+  }
+}
+
+void Aplv::Increment(LinkId j) {
+  std::int32_t c;
+  if (!wide()) {
+    c = ++counts_[static_cast<std::size_t>(j)];
+  } else {
+    const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
+    if (it != keys_.end() && *it == j) {
+      c = ++cnts_[static_cast<std::size_t>(it - keys_.begin())];
     } else {
-      const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
-      if (it != keys_.end() && *it == j) {
-        c = ++cnts_[static_cast<std::size_t>(it - keys_.begin())];
-      } else {
-        cnts_.insert(cnts_.begin() + (it - keys_.begin()), 1);
-        keys_.insert(it, j);
-        c = 1;
-      }
+      cnts_.insert(cnts_.begin() + (it - keys_.begin()), 1);
+      keys_.insert(it, j);
+      c = 1;
     }
-    ++l1_;
-    if (c == 1) cv_.Set(j, true);
-    if (c > max_) {
-      max_ = c;
-      num_at_max_ = 1;
-    } else if (c == max_) {
-      ++num_at_max_;
-    }
+  }
+  ++l1_;
+  if (c == 1) cv_.Set(j, true);
+  if (c > max_) {
+    max_ = c;
+    num_at_max_ = 1;
+  } else if (c == max_) {
+    ++num_at_max_;
   }
 }
 
 void Aplv::RemovePrimaryLset(const routing::LinkSet& lset) {
-  // Validate the whole LSET before touching anything: a mid-loop failure
-  // used to leave counts/l1_/num_at_max_/cv_ partially decremented, so
-  // a caller that catches the CheckError (tests, defensive teardown)
-  // kept a torn vector. The multiplicity check runs over the prefix so a
-  // LSET that repeats a link needs that many registered occurrences, not
-  // just a nonzero count.
+  // Validate and decrement in one pass. A check that fails re-adds the
+  // prefix already decremented before it throws, so a caller that catches
+  // the CheckError (tests, defensive teardown) keeps an untouched vector.
+  // Checking each element after its earlier repeats were decremented is
+  // the multiplicity check: a LSET that repeats a link needs that many
+  // registered occurrences, not just a nonzero count.
   for (std::size_t i = 0; i < lset.size(); ++i) {
     const LinkId j = lset[i];
-    DRTP_CHECK_MSG(j >= 0 && j < size(),
-                   "link " << j << " outside the " << size() << "-link APLV");
-    std::int32_t multiplicity = 1;
-    for (std::size_t k = 0; k < i; ++k) {
-      if (lset[k] == j) ++multiplicity;
-    }
-    DRTP_CHECK_MSG(count(j) >= multiplicity,
-                   "removing absent primary link " << j);
-  }
-  for (LinkId j : lset) {
-    std::int32_t c;
-    if (!wide()) {
-      auto& slot = counts_[static_cast<std::size_t>(j)];
-      if (slot == max_) --num_at_max_;
-      c = --slot;
-    } else {
+    const bool in_range = j >= 0 && j < size();
+    std::int32_t* slot = nullptr;
+    if (in_range && !wide()) {
+      slot = &counts_[static_cast<std::size_t>(j)];
+    } else if (in_range) {
       const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
-      const auto idx = static_cast<std::size_t>(it - keys_.begin());
-      if (cnts_[idx] == max_) --num_at_max_;
-      c = --cnts_[idx];
-      if (c == 0) {  // keep the sparse form canonical (no zero entries)
-        keys_.erase(it);
-        cnts_.erase(cnts_.begin() + static_cast<std::ptrdiff_t>(idx));
+      if (it != keys_.end() && *it == j) {
+        slot = &cnts_[static_cast<std::size_t>(it - keys_.begin())];
       }
     }
+    const bool present = slot != nullptr && *slot > 0;
+    if (!present) {
+      for (std::size_t k = 0; k < i; ++k) Increment(lset[k]);
+    }
+    DRTP_CHECK_MSG(in_range,
+                   "link " << j << " outside the " << size() << "-link APLV");
+    DRTP_CHECK_MSG(present, "removing absent primary link " << j);
+    if (*slot == max_) --num_at_max_;
+    const std::int32_t c = --*slot;
     --l1_;
-    if (c == 0) cv_.Set(j, false);
+    if (c == 0) {
+      cv_.Set(j, false);
+      if (wide()) {  // keep the sparse form canonical (no zero entries)
+        const auto idx = slot - cnts_.data();
+        keys_.erase(keys_.begin() + idx);
+        cnts_.erase(cnts_.begin() + idx);
+      }
+    }
   }
   // Only when the last element holding the maximum was decremented can the
   // maximum drop; otherwise max_ (and its survivor count) stand as-is.

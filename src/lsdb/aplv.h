@@ -55,9 +55,10 @@ class Aplv {
   /// increments every element indexed by the primary's links.
   void AddPrimaryLset(const routing::LinkSet& lset);
 
-  /// Inverse of AddPrimaryLset. The whole LSET is validated (including
-  /// repeated-link multiplicity) before any element changes, so a failed
-  /// removal throws CheckError with the vector untouched.
+  /// Inverse of AddPrimaryLset. Every element is checked (including
+  /// repeated-link multiplicity) as it is decremented; a failed removal
+  /// restores what it decremented and throws CheckError, leaving the
+  /// vector untouched.
   void RemovePrimaryLset(const routing::LinkSet& lset);
 
   /// Bit-vector abridgement (c_{i,j} = 1 iff a_{i,j} > 0), maintained
@@ -75,6 +76,8 @@ class Aplv {
 
  private:
   bool wide() const { return num_links_ > kWideLinkThreshold; }
+  /// One incidence of element j (in range), with L1/max/CV upkeep.
+  void Increment(LinkId j);
 
   int num_links_ = 0;
   std::vector<std::int32_t> counts_;  // dense mode only

@@ -4,7 +4,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,21 +265,54 @@ void Server::Run() {
     Reap();
   }
   // Graceful drain: everything received is executed and its response
-  // written to the clients still connected.
+  // written to the clients still connected. A client whose output makes
+  // no progress for kDrainStallTimeout is closed with its answers unsent:
+  // they were executed (and are durable under --wal), so the drain still
+  // counts as clean, but a peer that never reads cannot hold the daemon.
   pipeline_.Drain();
+  using Clock = std::chrono::steady_clock;
+  std::map<std::uint64_t, Clock::time_point> deadline;
   for (;;) {
     pfds.clear();
     ids.clear();
-    for (const auto& [id, c] : clients_) {
-      if (c.unsent() == 0) continue;
+    const Clock::time_point now = Clock::now();
+    Clock::time_point next = Clock::time_point::max();
+    for (auto it = clients_.begin(); it != clients_.end();) {
+      const std::uint64_t id = it->first;
+      const Client& c = it->second;
+      if (c.unsent() == 0) {
+        ++it;
+        continue;
+      }
+      const auto [d, fresh] =
+          deadline.try_emplace(id, now + kDrainStallTimeout);
+      if (!fresh && now >= d->second) {
+        DRTP_LOG_WARN << "drain: client " << id << " took nothing for "
+                      << kDrainStallTimeout.count() << " ms; closing it with "
+                      << c.unsent() << " bytes unsent";
+        it = clients_.erase(it);
+        continue;
+      }
+      next = std::min(next, d->second);
       pfds.push_back(pollfd{.fd = c.fd.get(), .events = POLLOUT,
                             .revents = 0});
       ids.push_back(id);
+      ++it;
     }
     if (pfds.empty()) break;
-    if (::poll(pfds.data(), pfds.size(), -1) < 0 && errno != EINTR) break;
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(next - now);
+    if (::poll(pfds.data(), pfds.size(), static_cast<int>(wait.count())) < 0 &&
+        errno != EINTR) {
+      break;
+    }
     for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if (pfds[i].revents != 0) Flush(clients_.at(ids[i]));
+      if (pfds[i].revents == 0) continue;
+      Client& c = clients_.at(ids[i]);
+      const std::size_t before = c.unsent();
+      Flush(c);
+      if (c.unsent() < before) {
+        deadline[ids[i]] = Clock::now() + kDrainStallTimeout;
+      }
     }
   }
   clients_.clear();

@@ -21,13 +21,16 @@
 // Shutdown is a self-pipe: Shutdown() writes one byte (async-signal-safe,
 // callable from a SIGTERM handler) and Run() then stops reading, executes
 // every queued frame, flushes every response to the clients still
-// connected, closes them, and removes the socket file. Framing violations
+// connected, closes them, and removes the socket file. A client that
+// takes none of its output for kDrainStallTimeout is logged and closed
+// with its answers unsent, so the drain is bounded. Framing violations
 // (oversized header) get one bad_frame response and the connection is
 // dropped once it is written; a peer that dies mid-frame is logged and
 // forgotten.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,6 +59,9 @@ class Server {
  public:
   /// Unflushed response bytes at which a client stops being read.
   static constexpr std::size_t kMaxClientOutput = 1 << 20;  // 1 MiB
+  /// How long the shutdown drain waits for a client's unsent output to
+  /// make progress before it closes that client.
+  static constexpr std::chrono::milliseconds kDrainStallTimeout{2000};
 
   Server(Engine& engine, ServerOptions options);
 
@@ -66,7 +72,8 @@ class Server {
   bool Start(std::string* error);
 
   /// Serves until Shutdown(). On return every received frame has been
-  /// answered, all connections are closed, and the socket file removed.
+  /// executed and answered (except to clients the drain gave up on), all
+  /// connections are closed, and the socket file removed.
   /// The caller owns post-drain steps (final audit, request-log dump).
   void Run();
 

@@ -2,6 +2,10 @@
 // register/release packets and §5 spare-pool sizing/multiplexing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "drtp/manager.h"
@@ -17,7 +21,8 @@ class ManagerTest : public ::testing::Test {
   ManagerTest()
       : topo_(net::MakeGrid(3, 3, Mbps(10))),
         ledger_(topo_),
-        mgr_(0, topo_, ledger_, SpareMode::kMultiplexed) {
+        links_(MakeLinkTable(topo_)),
+        mgr_(0, topo_, ledger_, SpareMode::kMultiplexed, links_) {
     l01_ = topo_.FindLink(0, 1);
     l03_ = topo_.FindLink(0, 3);
   }
@@ -35,6 +40,7 @@ class ManagerTest : public ::testing::Test {
 
   net::Topology topo_;
   net::BandwidthLedger ledger_;
+  std::vector<ManagedLink> links_;
   DrConnectionManager mgr_;
   LinkId l01_ = kInvalidLink;
   LinkId l03_ = kInvalidLink;
@@ -70,7 +76,9 @@ TEST_F(ManagerTest, OverlappingPrimariesNeedMoreSpare) {
 }
 
 TEST_F(ManagerTest, DedicatedModeReservesPerBackup) {
-  DrConnectionManager dedicated(0, topo_, ledger_, SpareMode::kDedicated);
+  std::vector<ManagedLink> links = MakeLinkTable(topo_);
+  DrConnectionManager dedicated(0, topo_, ledger_, SpareMode::kDedicated,
+                                links);
   EXPECT_TRUE(dedicated.RegisterBackupHop(l01_, Packet(1, {5, 6})));
   EXPECT_TRUE(dedicated.RegisterBackupHop(l01_, Packet(2, {7, 8})));
   // Disjoint primaries, but dedicated mode still reserves two slots.
@@ -202,6 +210,65 @@ TEST(DemandVector, MatchesAplvUnderUniformBandwidth) {
     d.Add(lset, Mbps(1));
     aplv.AddPrimaryLset(lset);
     ASSERT_EQ(d.Max(), static_cast<Bandwidth>(aplv.Max()) * Mbps(1));
+  }
+}
+
+/// Differential churn: random Add/Remove with heterogeneous bandwidths
+/// (and LSETs that may repeat a link), checking Max() and every at(j)
+/// against a brute-force recount after each step. Runs dense and, above
+/// kWideLinkThreshold, in the sparse wide mode, where the picks cluster
+/// on a few ids spread over the range so entries collide, empty out and
+/// are erased.
+void DemandVectorChurn(int num_links, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<LinkId> pool;
+  for (int i = 0; i < 24; ++i) {
+    pool.push_back(static_cast<LinkId>(
+        rng.Index(static_cast<std::size_t>(num_links))));
+  }
+  DemandVector d(num_links);
+  std::vector<std::pair<routing::LinkSet, Bandwidth>> registered;
+  for (int step = 0; step < 400; ++step) {
+    if (registered.empty() || rng.Bernoulli(0.55)) {
+      routing::LinkSet lset;
+      const int n = static_cast<int>(rng.UniformInt(1, 6));
+      for (int i = 0; i < n; ++i) {
+        if (!lset.empty() && rng.Bernoulli(0.2)) {
+          lset.push_back(lset[rng.Index(lset.size())]);
+        } else {
+          lset.push_back(pool[rng.Index(pool.size())]);
+        }
+      }
+      const Bandwidth bw = Kbps(100) * rng.UniformInt(1, 30);
+      d.Add(lset, bw);
+      registered.emplace_back(std::move(lset), bw);
+    } else {
+      const auto idx = rng.Index(registered.size());
+      d.Remove(registered[idx].first, registered[idx].second);
+      registered.erase(registered.begin() +
+                       static_cast<std::ptrdiff_t>(idx));
+    }
+    std::vector<Bandwidth> want(static_cast<std::size_t>(num_links), 0);
+    for (const auto& [lset, bw] : registered) {
+      for (LinkId j : lset) want[static_cast<std::size_t>(j)] += bw;
+    }
+    Bandwidth max = 0;
+    for (LinkId j = 0; j < num_links; ++j) {
+      ASSERT_EQ(d.at(j), want[static_cast<std::size_t>(j)])
+          << "links " << num_links << " step " << step << " element " << j;
+      max = std::max(max, want[static_cast<std::size_t>(j)]);
+    }
+    ASSERT_EQ(d.Max(), max) << "links " << num_links << " step " << step;
+  }
+}
+
+TEST(DemandVectorProperty, DenseMatchesRecount) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) DemandVectorChurn(40, seed);
+}
+
+TEST(DemandVectorProperty, WideMatchesRecount) {
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    DemandVectorChurn(lsdb::kWideLinkThreshold + 300, seed);
   }
 }
 

@@ -3,6 +3,9 @@
 // randomized consistency property over the whole bookkeeping machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "drtp/failure.h"
@@ -153,6 +156,84 @@ TEST_F(NetworkTest, PublishReflectsStateAndDownLinks) {
   const LinkId down = net_.topology().FindLink(6, 7);
   EXPECT_EQ(db.record(down).free_for_primary, 0);
   EXPECT_EQ(db.record(down).available_for_backup, 0);
+}
+
+// Plants a sentinel in every record of `db` outside `touched`, publishes
+// incrementally, and expects the sentinels to survive (the publish
+// rewrote nothing it did not have to) while the touched records equal a
+// full rewrite. Leaves `db` fully republished.
+void ExpectPublishRewritesExactly(const DrtpNetwork& net,
+                                  lsdb::LinkStateDb& db,
+                                  const std::vector<LinkId>& touched) {
+  constexpr std::int64_t kSentinel = -424242;
+  const auto is_touched = [&](LinkId l) {
+    return std::find(touched.begin(), touched.end(), l) != touched.end();
+  };
+  const int n = net.topology().num_links();
+  for (LinkId l = 0; l < n; ++l) {
+    if (!is_touched(l)) db.record(l).aplv_l1 = kSentinel;
+  }
+  net.PublishTo(db, 1.0);
+  lsdb::LinkStateDb full(n, n);
+  net.PublishFullTo(full, 1.0);
+  for (LinkId l = 0; l < n; ++l) {
+    if (is_touched(l)) {
+      EXPECT_EQ(db.record(l), full.record(l)) << "touched link " << l;
+    } else {
+      EXPECT_EQ(db.record(l).aplv_l1, kSentinel)
+          << "untouched link " << l << " was rewritten";
+    }
+  }
+  net.PublishFullTo(db, 1.0);
+}
+
+TEST_F(NetworkTest, IncrementalPublishRewritesOnlyChangedLinks) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug builds assert in PublishTo that the incremental "
+                  "result equals a full rewrite, which a planted sentinel "
+                  "breaks by design";
+#endif
+  // 3x3 grid of 3 Mbps links. Connections 1 and 4 have primaries that
+  // share 3->6 and backups that share 0->1, where primaries 2 and 3
+  // leave no free bandwidth: 0->1 stays overbooked, so every release
+  // makes ReconcileOverbooked visit it.
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(3)));
+  const net::Topology& topo = net.topology();
+  const auto link = [&](NodeId a, NodeId b) { return topo.FindLink(a, b); };
+  const auto links_of = [&](const routing::Path& p) {
+    return std::vector<LinkId>(p.links().begin(), p.links().end());
+  };
+  ASSERT_TRUE(net.EstablishConnection(1, NodePath(topo, {0, 3, 6}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(1, NodePath(topo, {0, 1, 4, 7, 6}));
+  ASSERT_TRUE(net.EstablishConnection(2, NodePath(topo, {0, 1}), Mbps(1),
+                                      0.0));
+  ASSERT_TRUE(net.EstablishConnection(3, NodePath(topo, {0, 1}), Mbps(1),
+                                      0.0));
+  ASSERT_TRUE(net.EstablishConnection(4, NodePath(topo, {3, 6}), Mbps(1),
+                                      0.0));
+  const routing::Path backup4 = NodePath(topo, {3, 0, 1, 4, 7, 6});
+  net.RegisterBackup(4, backup4);
+  ASSERT_TRUE(net.EstablishConnection(5, NodePath(topo, {5, 8}), Mbps(1),
+                                      0.0));
+  ASSERT_EQ(net.OverbookedLinks(), std::vector<LinkId>{link(0, 1)});
+  lsdb::LinkStateDb db(topo.num_links(), topo.num_links());
+  net.PublishTo(db, 0.0);
+
+  // Releasing an unrelated primary touches its link only; the visit to
+  // the still-overbooked 0->1 changes nothing there or on 0's other
+  // out-links.
+  net.ReleaseConnection(5);
+  ExpectPublishRewritesExactly(net, db, {link(5, 8)});
+  ASSERT_EQ(net.OverbookedLinks(), std::vector<LinkId>{link(0, 1)});
+
+  // A backup release and a registration touch exactly the backup's
+  // links, not the other out-links of the routers along it.
+  net.ReleaseBackupAt(4, 0);
+  ExpectPublishRewritesExactly(net, db, links_of(backup4));
+  net.RegisterBackup(4, backup4);
+  ExpectPublishRewritesExactly(net, db, links_of(backup4));
+  net.CheckConsistency();
 }
 
 TEST_F(NetworkTest, DuplexFailureTakesBothDirections) {

@@ -1047,7 +1047,7 @@ class ServerTest : public ::testing::Test {
 
   ~ServerTest() override {
     server_->Shutdown();
-    run_.join();
+    if (run_.joinable()) run_.join();
   }
 
   net::Topology topo_;
@@ -1141,6 +1141,39 @@ TEST_F(ServerTest, SlowReaderDoesNotStallOtherClients) {
     }
   }
   writer.join();
+}
+
+TEST_F(ServerTest, ShutdownDrainClosesClientThatNeverReads) {
+  // The client pipelines admits until its own socket buffer stays full
+  // and never reads. The daemon stops reading it at kMaxClientOutput, so
+  // after Shutdown() the answers it owes cannot be delivered: the drain
+  // must give up on the client after kDrainStallTimeout, not wait forever.
+  TestClient a(path_);
+  std::string pending;
+  for (int id = 0;;) {
+    if (pending.empty()) {
+      for (int k = 0; k < 256; ++k, ++id) {
+        pending += svc::EncodeFrame(
+            AdmitPayload(id, 1000 + id, id % 16, (id + 7) % 16, Kbps(10)));
+      }
+    }
+    const long w = ::send(a.fd(), pending.data(), pending.size(),
+                          MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (w > 0) {
+      pending.erase(0, static_cast<std::size_t>(w));
+      continue;
+    }
+    ASSERT_TRUE(w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << "send failed: errno " << errno;
+    pollfd pfd{.fd = a.fd(), .events = POLLOUT, .revents = 0};
+    if (::poll(&pfd, 1, 500) == 0) break;  // full, and the daemon stopped
+  }
+  const auto start = std::chrono::steady_clock::now();
+  server_->Shutdown();
+  run_.join();
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(took, svc::Server::kDrainStallTimeout);
+  EXPECT_LT(took, svc::Server::kDrainStallTimeout + std::chrono::seconds(5));
 }
 
 /// A daemon that sheds: max_inflight = 4 below batch_max = 64.
