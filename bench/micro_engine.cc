@@ -415,7 +415,8 @@ std::vector<KernelResult> RunSuite(LoadedNet& fx, double min_time_s,
 
   // --- durability kernels -------------------------------------------------
   // wal_append_fsync: one group commit — a 64-event batch record rendered,
-  // framed, written and fsynced — the price every drtpd batch pays before
+  // framed, written into the zero-filled extent and fdatasynced (plus the
+  // amortized extent fills) — the price every drtpd batch pays before
   // its responses are released. Dominated by the sync, so this number is a
   // device characteristic as much as a code one. snapshot_serialize: the
   // drtp.snap/1 body render over the ~300-connection fixture — the

@@ -122,7 +122,7 @@ Time Engine::NextEventTime() {
 void Engine::LogEvent(sim::ScenarioEvent event) {
   if (options_.keep_request_log) log_.push_back(event);
   // Group-commit buffer: ExecuteBatch appends these to the WAL (one
-  // record, one fsync) before the batch's responses are released.
+  // record, one sync) before the batch's responses are released.
   batch_events_.push_back(event);
 }
 

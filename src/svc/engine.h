@@ -149,7 +149,7 @@ class Engine {
   bool WriteSnapshot(std::string* error);
 
   /// Attaches the write-ahead log: from here on, ExecuteBatch appends
-  /// one record + fsync per committed batch *before* its responses are
+  /// one record + sync per committed batch *before* its responses are
   /// released. Attached after construction because in --recover mode the
   /// log may only be opened for append once Recover() has truncated its
   /// torn tail. Not owned; must outlive the engine. An append failure is

@@ -13,6 +13,7 @@
 #include "common/json.h"
 #include "common/json_value.h"
 #include "common/socket.h"
+#include "svc/wal.h"
 #include "svc/wire.h"
 
 namespace drtp::svc {
@@ -181,7 +182,9 @@ bool WriteSnapshotFile(const std::string& path, std::string_view body,
              "': " + std::strerror(errno);
     return false;
   }
-  return true;
+  // The rename lives in the directory: sync it too, or a power cut can
+  // bring back the previous snapshot (or none).
+  return SyncParentDirectory(path, error);
 }
 
 Snapshot LoadSnapshotFile(const std::string& path) {

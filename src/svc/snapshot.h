@@ -15,10 +15,10 @@
 // recorded NetworkStateDigest byte-for-byte.
 //
 // `wal_offset` binds the snapshot to a drtp.wal/1 record boundary: the
-// log's size at the moment the snapshot was taken (always between
-// batches). Recovery loads the snapshot, then replays only WAL records
-// past that offset. Files are written tmp + fsync + rename so a crash
-// mid-snapshot leaves the previous one intact.
+// log's logical end (Wal::bytes()) at the moment the snapshot was taken
+// (always between batches). Recovery loads the snapshot, then replays only WAL records
+// past that offset. Files are written tmp + fsync + rename + directory
+// fsync so a crash mid-snapshot leaves the previous one intact.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +68,8 @@ std::string RenderSnapshotBody(const core::DrtpNetwork& net,
 /// Inverse of RenderSnapshotBody; throws drtp::ParseError.
 Snapshot ParseSnapshotBody(std::string_view body);
 
-/// Writes body + digest line via tmp + fsync + rename (atomic replace).
+/// Writes body + digest line via tmp + fsync + rename (atomic replace),
+/// then fsyncs the directory so the rename itself is durable.
 bool WriteSnapshotFile(const std::string& path, std::string_view body,
                        std::string* error);
 

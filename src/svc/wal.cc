@@ -5,10 +5,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "common/check.h"
@@ -16,6 +16,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/json_value.h"
+#include "common/log.h"
 #include "svc/wire.h"
 
 namespace drtp::svc {
@@ -73,6 +74,24 @@ std::string RenderHeaderPayload(std::uint64_t config_digest) {
   w.EndObject();
   return w.str();
 }
+
+/// "<what>: <WriteStatus name>: <strerror>" for a failed write or sync.
+std::string IoError(const char* what, int err) {
+  return std::string(what) + ": " + WriteStatusName(ClassifyWriteErrno(err)) +
+         ": " + std::strerror(err);
+}
+
+/// fsync, or fdatasync when only file data changed; retries EINTR.
+int SyncFd(int fd, bool data_only) {
+  int rc;
+  do {
+    rc = data_only ? ::fdatasync(fd) : ::fsync(fd);
+  } while (rc != 0 && errno == EINTR);
+  return rc;
+}
+
+/// Every iovec of an extent fill points at this one page.
+alignas(4096) constexpr char kZeroPage[4096] = {};
 
 /// One decoded record: payload plus the offset just past it.
 struct DecodedRecord {
@@ -200,16 +219,50 @@ std::string EncodeWalRecord(std::string_view payload) {
   return out;
 }
 
+bool SyncParentDirectory(const std::string& path, std::string* error) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  UniqueFd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (!fd.valid()) {
+    *error = "open directory '" + dir + "': " + std::strerror(errno);
+    return false;
+  }
+  if (SyncFd(fd.get(), /*data_only=*/false) != 0) {
+    *error = "fsync directory '" + dir + "': " + std::strerror(errno);
+    return false;
+  }
+  return true;
+}
+
 WalRecovery RecoverWal(const std::string& path,
                        std::uint64_t config_digest) {
   WalRecovery out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return out;  // no file: empty log, nothing to truncate
-  out.existed = true;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-
+  std::string data;
+  {
+    UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (!fd.valid()) return out;  // no file: empty log, nothing to truncate
+    out.existed = true;
+    struct stat st {};
+    if (::fstat(fd.get(), &st) != 0) {
+      throw ParseError("stat '" + path + "' failed: " + std::strerror(errno));
+    }
+    data.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < data.size()) {
+      const ssize_t n = ::pread(fd.get(), data.data() + got, data.size() - got,
+                                static_cast<off_t>(got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        throw ParseError("reading '" + path +
+                         "' failed: " + std::strerror(errno));
+      }
+      if (n == 0) break;  // shrank under us: scan what was there
+      got += static_cast<std::size_t>(n);
+    }
+    data.resize(got);
+  }
   std::uint64_t offset = 0;
   DecodedRecord rec;
   if (TryDecodeRecord(data, offset, &rec)) {
@@ -237,8 +290,9 @@ WalRecovery RecoverWal(const std::string& path,
       offset = rec.end;
     }
   }
-  // Everything past `offset` is a torn or corrupt tail: drop it on disk
-  // so the reopened log appends at a verified boundary.
+  // Everything past `offset` is a torn or corrupt record and/or the zero
+  // tail of an extent: drop it on disk so the reopened log appends at a
+  // verified boundary.
   out.valid_bytes = offset;
   out.truncated_bytes = data.size() - offset;
   if (out.truncated_bytes > 0) {
@@ -253,46 +307,109 @@ WalRecovery RecoverWal(const std::string& path,
 std::unique_ptr<Wal> Wal::Open(const std::string& path,
                                std::uint64_t config_digest,
                                std::string* error) {
-  UniqueFd fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                     0644));
+  bool created = true;
+  UniqueFd fd(
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644));
+  if (!fd.valid() && errno == EEXIST) {
+    created = false;
+    fd = UniqueFd(::open(path.c_str(), O_RDWR | O_CLOEXEC));
+  }
   if (!fd.valid()) {
     *error = "open '" + path + "': " + std::strerror(errno);
     return nullptr;
   }
-  const off_t end = ::lseek(fd.get(), 0, SEEK_END);
-  if (end < 0) {
-    *error = "lseek '" + path + "': " + std::strerror(errno);
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) {
+    *error = "stat '" + path + "': " + std::strerror(errno);
     return nullptr;
   }
-  std::unique_ptr<Wal> wal(
-      new Wal(std::move(fd), path, static_cast<std::uint64_t>(end)));
+  const auto end = static_cast<std::uint64_t>(st.st_size);
+  std::unique_ptr<Wal> wal(new Wal(std::move(fd), path, end));
+  if (!wal->Extend(0, error)) return nullptr;
   if (end == 0) {
     // Fresh log: the header record binds the config before any batch.
     if (!wal->AppendRecord(RenderHeaderPayload(config_digest), error)) {
       return nullptr;
     }
   }
+  if (created && !SyncParentDirectory(path, error)) return nullptr;
   return wal;
+}
+
+Wal::~Wal() {
+  // Clean close: drop the unused zero tail, so a drained log holds
+  // exactly its records. Not synced — if the old size survives a crash
+  // instead, RecoverWal drops the zero tail itself.
+  if (allocated_ > bytes_ &&
+      ::ftruncate(fd_.get(), static_cast<off_t>(bytes_)) != 0) {
+    DRTP_LOG_WARN << "wal trim of '" << path_
+                  << "' failed: " << std::strerror(errno);
+  }
+}
+
+bool Wal::Extend(std::uint64_t need, std::string* error) {
+  std::uint64_t target = allocated_;
+  do {
+    target += next_extent_;
+    next_extent_ = std::min(2 * next_extent_, kWalMaxExtent);
+  } while (target - bytes_ < need);
+  // Real zeros, not fallocate: a preallocated-but-unwritten extent would
+  // still need a metadata commit the first time a record lands in it.
+  constexpr int kIovecs = 64;
+  iovec iov[kIovecs];
+  for (std::uint64_t at = allocated_; at < target;) {
+    int count = 0;
+    for (std::uint64_t queued = 0; count < kIovecs && at + queued < target;
+         ++count) {
+      const std::size_t len = static_cast<std::size_t>(
+          std::min<std::uint64_t>(sizeof kZeroPage, target - at - queued));
+      iov[count].iov_base = const_cast<char*>(kZeroPage);
+      iov[count].iov_len = len;
+      queued += len;
+    }
+    const ssize_t n =
+        ::pwritev(fd_.get(), iov, count, static_cast<off_t>(at));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      *error = n < 0 ? IoError("wal extend", errno)
+                     : "wal extend: io_error: pwritev wrote nothing";
+      return false;
+    }
+    at += static_cast<std::uint64_t>(n);
+  }
+  // One fsync makes the new size and the zeroed blocks durable, so the
+  // per-batch commits that fill them only need fdatasync.
+  if (SyncFd(fd_.get(), /*data_only=*/false) != 0) {
+    *error = IoError("wal extend fsync", errno);
+    return false;
+  }
+  allocated_ = target;
+  return true;
 }
 
 bool Wal::AppendRecord(std::string_view payload, std::string* error) {
   const std::string record = EncodeWalRecord(payload);
-  FrameWriter writer(fd_.get());
-  iovec iov;
-  iov.iov_base = const_cast<char*>(record.data());
-  iov.iov_len = record.size();
-  const WriteResult res = writer.WriteVec(&iov, 1);
-  if (!res.ok()) {
-    *error = "wal append: " + res.message();
+  if (allocated_ - bytes_ < record.size() &&
+      !Extend(record.size(), error)) {
     return false;
   }
-  // The group commit: one fsync per engine batch, before any of the
-  // batch's responses are released.
-  while (::fsync(fd_.get()) != 0) {
-    if (errno == EINTR) continue;
-    *error = std::string("wal fsync: ") +
-             WriteStatusName(ClassifyWriteErrno(errno)) + ": " +
-             std::strerror(errno);
+  for (std::size_t done = 0; done < record.size();) {
+    const ssize_t n = ::pwrite(fd_.get(), record.data() + done,
+                               record.size() - done,
+                               static_cast<off_t>(bytes_ + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      *error = n < 0 ? IoError("wal append", errno)
+                     : "wal append: io_error: pwrite wrote nothing";
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  // The group commit: one fdatasync per engine batch, before any of the
+  // batch's responses are released. The record overwrites zeros inside
+  // the synced extent, so the size is unchanged and only data flushes.
+  if (SyncFd(fd_.get(), /*data_only=*/true) != 0) {
+    *error = IoError("wal fdatasync", errno);
     return false;
   }
   bytes_ += record.size();

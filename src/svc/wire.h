@@ -55,7 +55,7 @@ struct WriteResult {
 /// would otherwise silently truncate a frame mid-stream and desync the
 /// peer's FrameReader. Socket fds are written with sendmsg(MSG_NOSIGNAL)
 /// so a vanished peer surfaces as kPeerGone instead of SIGPIPE; regular
-/// files (the WAL) fall back to writev transparently.
+/// files (snapshots) fall back to writev transparently.
 class FrameWriter {
  public:
   explicit FrameWriter(int fd) : fd_(fd) {}

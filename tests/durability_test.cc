@@ -1,14 +1,18 @@
 // Crash-durability tests for the drtpd service layer: the drtp.wal/1
 // write-ahead log (framing, truncate-and-verify recovery, torn-tail chop
-// at every byte offset), drtp.snap/1 snapshots (round trip, digest and
-// config refusals, RNG-bearing scheme state), and Engine::Recover — the
-// contract that a recovered engine's NetworkStateDigest is byte-identical
-// to an uninterrupted run's, with the auditor clean on the result.
+// at every byte offset with and without a zero-filled extent behind it,
+// trim to the records on clean close), drtp.snap/1 snapshots (round
+// trip, digest and config refusals, RNG-bearing scheme state), and
+// Engine::Recover — the contract that a recovered engine's
+// NetworkStateDigest is byte-identical to an uninterrupted run's, with
+// the auditor clean on the result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -115,6 +119,34 @@ std::vector<std::uint64_t> RunBatches(Engine& engine,
     digests.push_back(engine.StateDigest());
   }
   return digests;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// `n` admit events at virtual times first, first+1, ... (a batch
+/// payload only; nothing executes them).
+std::vector<sim::ScenarioEvent> AdmitEvents(int n, int first) {
+  std::vector<sim::ScenarioEvent> events(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    sim::ScenarioEvent& e = events[static_cast<std::size_t>(i)];
+    e.type = sim::ScenarioEvent::Type::kRequest;
+    e.time = first + i;
+    e.conn = first + i;
+    e.src = i % 20;
+    e.dst = (i + 7) % 20;
+    e.bw = Mbps(1);
+  }
+  return events;
 }
 
 class DurabilityTest : public ::testing::Test {
@@ -302,6 +334,127 @@ TEST_F(DurabilityTest, TornTailChoppedAtEveryByteRecovers) {
         << "chop at byte " << cut;
   }
   std::remove(chopped.c_str());
+}
+
+TEST_F(DurabilityTest, TornTailInZeroExtentChoppedAtEveryByteRecovers) {
+  // The chop above, with every prefix followed by zeros up to past the
+  // original end: what a crash leaves when the record being written
+  // lands in a zero-filled extent. Recovery must stop at the same
+  // boundary and drop the record's remains and the zeros together.
+  EngineOptions eo = Options();
+  eo.snapshot_path.clear();
+  Engine live(topo_, eo);
+  auto wal = OpenWal(live);
+  const std::uint64_t header_end = wal->bytes();
+  live.AttachWal(wal.get());
+  const std::uint64_t fresh_digest = live.StateDigest();
+  const std::vector<std::uint64_t> per_batch =
+      RunBatches(live, MixedWorkload(topo_.num_nodes()), 4);
+  wal.reset();
+
+  const std::string bytes = ReadBytes(wal_path_);
+  ASSERT_GT(bytes.size(), header_end);
+  const std::size_t padded_size = bytes.size() + 64;
+  const std::string chopped = base_ + ".chop";
+  for (std::size_t cut = header_end; cut <= bytes.size(); ++cut) {
+    std::string padded = bytes.substr(0, cut);
+    padded.resize(padded_size, '\0');
+    WriteBytes(chopped, padded);
+    Engine recovered(topo_, eo);
+    RecoverReport rep;
+    ASSERT_NO_THROW(rep = recovered.Recover(chopped, ""))
+        << "chop at byte " << cut;
+    const std::size_t k = static_cast<std::size_t>(rep.batches_replayed);
+    ASSERT_LE(k, per_batch.size()) << "chop at byte " << cut;
+    const std::uint64_t want = k == 0 ? fresh_digest : per_batch[k - 1];
+    EXPECT_EQ(recovered.StateDigest(), want) << "chop at byte " << cut;
+    EXPECT_LE(rep.wal_valid_bytes, cut) << "chop at byte " << cut;
+    EXPECT_EQ(rep.wal_truncated_bytes, padded_size - rep.wal_valid_bytes)
+        << "chop at byte " << cut;
+    EXPECT_EQ(std::filesystem::file_size(chopped), rep.wal_valid_bytes)
+        << "chop at byte " << cut;
+  }
+  std::remove(chopped.c_str());
+}
+
+TEST_F(DurabilityTest, LogCopiedWhileOpenRecoversAndAppendsAtItsEnd) {
+  // A copy taken while the Wal is still open is what a crash leaves: the
+  // records, then the unused rest of the zero-filled extent. It must
+  // recover to the live digest with the verified prefix ending at the
+  // last record, and a Wal reopened on it must append exactly there.
+  EngineOptions eo = Options();
+  eo.snapshot_path.clear();
+  Engine live(topo_, eo);
+  auto wal = OpenWal(live);
+  live.AttachWal(wal.get());
+  RunBatches(live, MixedWorkload(topo_.num_nodes()), 3);
+  const std::uint64_t logical_end = wal->bytes();
+  const std::string copy = ReadBytes(wal_path_);
+  ASSERT_GT(copy.size(), logical_end);
+  EXPECT_EQ(copy.find_first_not_of('\0', logical_end), std::string::npos)
+      << "the tail past the last record is not all zeros";
+  const std::string crashed = base_ + ".crashed";
+  WriteBytes(crashed, copy);
+
+  Engine recovered(topo_, eo);
+  const RecoverReport rep = recovered.Recover(crashed, "");
+  EXPECT_EQ(rep.wal_valid_bytes, logical_end);
+  EXPECT_EQ(rep.wal_truncated_bytes, copy.size() - logical_end);
+  EXPECT_EQ(recovered.StateDigest(), live.StateDigest());
+
+  std::string error;
+  auto reopened = Wal::Open(crashed, recovered.ConfigDigest(), &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->bytes(), logical_end);
+  recovered.AttachWal(reopened.get());
+  const std::vector<std::string> more = {
+      AdmitPayload(900, 900, 1, 5, Mbps(1))};
+  RunBatches(live, more, 1);
+  RunBatches(recovered, more, 1);
+  EXPECT_EQ(recovered.StateDigest(), live.StateDigest());
+  reopened.reset();
+  wal.reset();
+
+  // Both logs now hold the same records, byte for byte, and the first
+  // record written after the reopen starts at the old logical end.
+  EXPECT_EQ(ReadBytes(crashed), ReadBytes(wal_path_));
+  const WalRecovery rec = svc::RecoverWal(crashed, live.ConfigDigest());
+  ASSERT_GE(rec.batches.size(), 2u);
+  EXPECT_EQ(rec.batches[rec.batches.size() - 2].end_offset, logical_end);
+  std::remove(crashed.c_str());
+}
+
+TEST_F(DurabilityTest, CleanlyClosedLogIsExactlyItsRecords) {
+  // While open the file runs past the records into zero-filled extents;
+  // a clean close trims it, leaving the header record followed by the
+  // batch records and nothing else. The batches cross several extent
+  // boundaries, and one record is larger than the first extent.
+  const std::uint64_t config = 0x5eed;
+  std::string error;
+  auto wal = Wal::Open(wal_path_, config, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  EXPECT_EQ(std::filesystem::file_size(wal_path_), svc::kWalFirstExtent);
+
+  JsonWriter header;
+  header.BeginObject();
+  header.Key("schema").String(svc::kWalSchema);
+  header.Key("config").String(DigestHex(config));
+  header.EndObject();
+  std::string want = svc::EncodeWalRecord(header.str());
+  EXPECT_EQ(wal->bytes(), want.size());
+
+  int first = 1;
+  for (const int n : {1, 3000, 9000, 2, 5000}) {
+    const std::vector<sim::ScenarioEvent> events = AdmitEvents(n, first);
+    first += n;
+    ASSERT_TRUE(wal->AppendBatch(events, &error)) << error;
+    want += svc::EncodeWalRecord(svc::RenderWalBatchPayload(events));
+    EXPECT_EQ(wal->bytes(), want.size());
+    EXPECT_GT(std::filesystem::file_size(wal_path_), want.size());
+  }
+  EXPECT_GT(want.size(), 2 * svc::kWalFirstExtent);
+  wal.reset();
+  EXPECT_EQ(ReadBytes(wal_path_), want);
 }
 
 // ---- snapshots --------------------------------------------------------
