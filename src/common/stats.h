@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
@@ -102,55 +101,6 @@ class TimeWeightedStat {
   Time last_time_ = 0.0;
   double last_value_ = 0.0;
   double integral_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins. Used for path-length and conflict-count distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {
-    DRTP_CHECK(hi > lo);
-    DRTP_CHECK(bins > 0);
-  }
-
-  void Add(double x) {
-    double t = (x - lo_) / (hi_ - lo_);
-    auto bin = static_cast<std::int64_t>(t * static_cast<double>(size()));
-    if (bin < 0) bin = 0;
-    if (bin >= static_cast<std::int64_t>(size()))
-      bin = static_cast<std::int64_t>(size()) - 1;
-    ++counts_[static_cast<std::size_t>(bin)];
-    ++total_;
-  }
-
-  std::size_t size() const { return counts_.size(); }
-  std::int64_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::int64_t total() const { return total_; }
-
-  /// Smallest x such that at least `q` (0..1] of the mass lies at or below
-  /// the bin containing x. Returns the bin upper edge.
-  double Quantile(double q) const {
-    DRTP_CHECK(q > 0.0 && q <= 1.0);
-    if (total_ == 0) return lo_;
-    const auto threshold =
-        static_cast<std::int64_t>(std::ceil(q * static_cast<double>(total_)));
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      acc += counts_[i];
-      if (acc >= threshold) {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) /
-                         static_cast<double>(counts_.size());
-      }
-    }
-    return hi_;
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 /// Ratio counter: successes over trials, safe when empty.

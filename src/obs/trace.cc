@@ -45,6 +45,28 @@ std::string_view TraceEventKindName(TraceEventKind kind) {
 
 namespace {
 
+/// Truncates `path` for writing; throws CheckError when unwritable.
+std::unique_ptr<std::ofstream> OpenTrace(const std::string& path) {
+  auto os = std::make_unique<std::ofstream>(path, std::ios::trunc);
+  DRTP_CHECK_MSG(os->good(), "cannot write trace to '" << path << "'");
+  return os;
+}
+
+/// Flushes `os` and fails loudly if any write to it was lost (a full
+/// disk, a closed pipe): a trace that silently misses lines is worse
+/// than none.
+void FlushOrThrow(std::ostream& os) {
+  os.flush();
+  DRTP_CHECK_MSG(os.good(), "cannot write trace: output stream failed");
+}
+
+void WriteNodes(std::ostream& os, std::span<const NodeId> nodes) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (i > 0) os << '-';
+    os << nodes[i];
+  }
+}
+
 void WriteNodeArray(JsonWriter& w, std::string_view key,
                     std::span<const NodeId> nodes) {
   if (nodes.empty()) return;
@@ -90,13 +112,87 @@ std::string EventToJson(const TraceEvent& e) {
 
 }  // namespace
 
+TextTraceSink::TextTraceSink(std::ostream& os) : os_(&os) {}
+
+TextTraceSink::TextTraceSink(const std::string& path)
+    : owned_(OpenTrace(path)), os_(owned_.get()) {}
+
+void TextTraceSink::Write(const TraceEvent& e) {
+  if (e.kind == TraceEventKind::kRequest) return;
+  std::lock_guard<std::mutex> lk(mu_);
+  std::ostream& os = *os_;
+  os << e.t;
+  switch (e.kind) {
+    case TraceEventKind::kRequest:  // returned above
+      break;
+    case TraceEventKind::kAdmit:
+      os << " + conn " << e.conn << " primary ";
+      WriteNodes(os, e.primary);
+      if (!e.backup.empty()) {
+        os << " backup ";
+        WriteNodes(os, e.backup);
+      }
+      break;
+    case TraceEventKind::kBlock:
+      os << " x conn " << e.conn << " (" << e.src << " -> " << e.dst << ')';
+      break;
+    case TraceEventKind::kRelease:
+      os << " - conn " << e.conn;
+      break;
+    case TraceEventKind::kLinkFail:
+      os << " ! link " << e.link;
+      break;
+    case TraceEventKind::kLinkRepair:
+      os << " ~ link " << e.link << " repaired";
+      break;
+    case TraceEventKind::kFailover:
+      os << " > conn " << e.conn << " promoted ";
+      WriteNodes(os, e.primary);
+      break;
+    case TraceEventKind::kDrop:
+      os << " # conn " << e.conn << " dropped";
+      break;
+    case TraceEventKind::kBackupBreak:
+      os << " b conn " << e.conn << " backup broken";
+      break;
+    case TraceEventKind::kReestablish:
+      os << " = conn " << e.conn << " backup ";
+      WriteNodes(os, e.backup);
+      break;
+    case TraceEventKind::kNodeFail:
+      os << " N node " << e.node;
+      break;
+    case TraceEventKind::kNodeRepair:
+      os << " n node " << e.node << " repaired";
+      break;
+    case TraceEventKind::kSrlgFail:
+      os << " S srlg " << e.srlg;
+      break;
+    case TraceEventKind::kSrlgRepair:
+      os << " s srlg " << e.srlg << " repaired";
+      break;
+    case TraceEventKind::kDegrade:
+      os << " d conn " << e.conn << " degraded retries-left "
+         << e.retries_left;
+      break;
+  }
+  if (e.recovered >= 0) {
+    os << " recovered " << e.recovered << " dropped " << e.dropped
+       << " broken " << e.broken;
+  }
+  os << '\n';
+  ++lines_;
+}
+
+void TextTraceSink::Finish() {
+  std::lock_guard<std::mutex> lk(mu_);
+  FlushOrThrow(*os_);
+}
+
 JsonlTraceSink::JsonlTraceSink(std::ostream& os) : os_(&os) {}
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)) {
-  DRTP_CHECK_MSG(owned_->good(), "cannot write trace to '" << path << "'");
-  os_ = owned_.get();
-}
+    : owned_(OpenTrace(path)), os_(owned_.get()) {}
 
 void JsonlTraceSink::Write(const TraceEvent& event) {
   const std::string line = EventToJson(event);
@@ -107,16 +203,13 @@ void JsonlTraceSink::Write(const TraceEvent& event) {
 
 void JsonlTraceSink::Finish() {
   std::lock_guard<std::mutex> lk(mu_);
-  os_->flush();
+  FlushOrThrow(*os_);
 }
 
 ChromeTraceSink::ChromeTraceSink(std::ostream& os) : os_(&os) {}
 
 ChromeTraceSink::ChromeTraceSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)) {
-  DRTP_CHECK_MSG(owned_->good(), "cannot write trace to '" << path << "'");
-  os_ = owned_.get();
-}
+    : owned_(OpenTrace(path)), os_(owned_.get()) {}
 
 void ChromeTraceSink::Emit(const std::string& json) {
   if (first_) {
@@ -231,8 +324,8 @@ void ChromeTraceSink::Finish() {
   open_.clear();
   if (first_) (*os_) << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   (*os_) << "\n]}\n";
-  os_->flush();
   finished_ = true;
+  FlushOrThrow(*os_);
 }
 
 }  // namespace drtp::obs

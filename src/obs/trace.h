@@ -1,8 +1,13 @@
 // Structured trace pipeline: one flat TraceEvent record per connection /
-// link lifecycle event, fanned to pluggable sinks.
+// link lifecycle event, written to pluggable sinks.
 //
-// This generalizes the typed sim::TraceSink callbacks into a single
-// schema-versioned record so exporters live below the simulator:
+// The paper's toolchain simulated with ns, whose trace files are the
+// primary debugging artifact; this is the equivalent for our replays.
+// sim::RunScenario builds one TraceEvent per replay event (stamped with
+// the scheme label and, for sweeps, ExperimentConfig::trace_cell) and
+// writes it to an ExperimentConfig::trace sink. Every exporter is a
+// formatter over that one record type:
+//   - TextTraceSink    — ns-style, one human-readable line per event.
 //   - JsonlTraceSink   — schema drtp.trace/1, one JSON object per line.
 //     Deterministic: a fixed-seed single-threaded replay produces
 //     byte-identical files; a sweep's lines are deterministic per cell
@@ -10,9 +15,8 @@
 //   - ChromeTraceSink  — Chrome trace-event JSON (load in chrome://tracing
 //     or Perfetto): one "X" span per connection lifetime, instant events
 //     for blocks/failures/failovers.
-// Both sinks lock per record, so concurrent sweep cells never corrupt a
-// line. sim::TextTraceSink remains the human one-line-per-event view and
-// adapts onto the same stream of typed callbacks (sim/trace.h).
+// Every sink locks per record, so concurrent sweep cells never corrupt a
+// line, and Finish() throws CheckError when the stream lost output.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +97,43 @@ class TraceSink {
   /// May be called from several threads (sweep cells); implementations
   /// serialize internally.
   virtual void Write(const TraceEvent& event) = 0;
-  /// Called once after the last event (flush footers, close spans).
+  /// Called once after the last event: flushes (after footers and closing
+  /// spans) and throws CheckError if the stream lost any output.
   virtual void Finish() {}
+};
+
+/// Renders one line per event (default stream formatting of the time):
+///   0.3127 + conn 12 primary 3-7-22 backup 3-9-14-22
+///   0.4411 - conn 9
+///   0.5 x conn 17 (4 -> 31)
+///   9.1 ! link 45 recovered 3 dropped 1 broken 2
+///   9.1 > conn 12 promoted 3-9-14-22
+///   9.1 # conn 7 dropped
+///   9.1 b conn 4 backup broken
+///   9.1 = conn 12 backup 3-5-22
+///   9.5 ~ link 45 repaired
+///   9.1 N node 6 recovered 2 dropped 1 broken 0
+///   9.5 n node 6 repaired
+///   9.1 S srlg 2 recovered 1 dropped 0 broken 3
+///   9.5 s srlg 2 repaired
+///   9.1 d conn 12 degraded retries-left 6
+/// Requests are not rendered (each is immediately followed by its admit
+/// or block line); the cell and scheme stamps are not rendered either.
+class TextTraceSink : public TraceSink {
+ public:
+  explicit TextTraceSink(std::ostream& os);
+  explicit TextTraceSink(const std::string& path);
+
+  void Write(const TraceEvent& event) override;
+  void Finish() override;
+
+  std::int64_t lines_written() const { return lines_; }
+
+ private:
+  std::unique_ptr<std::ofstream> owned_;
+  std::ostream* os_;
+  std::mutex mu_;
+  std::int64_t lines_ = 0;
 };
 
 /// drtp.trace/1: one schema-versioned JSON object per line.

@@ -96,6 +96,8 @@ class CheckpointJournal {
   /// unwritable.
   CheckpointJournal(const std::string& path, bool append);
 
+  /// Each writes and flushes one line; throws CheckError when the
+  /// stream lost it.
   void WriteHeader(const CheckpointHeader& header);
   void Append(const CheckpointEntry& entry);
 

@@ -141,6 +141,8 @@ void JsonlSink::Consume(const CellResult& result) {
   std::lock_guard<std::mutex> lk(mu_);
   os_->write(line.data(), static_cast<std::streamsize>(line.size()));
   os_->flush();
+  DRTP_CHECK_MSG(os_->good(), "cannot write result line for cell "
+                                  << result.cell.index);
   ++lines_;
   if (journal_ != nullptr) {
     // Same mutex, strictly after the line's flush: on a kill the journal
@@ -160,6 +162,7 @@ void JsonlSink::Consume(const CellResult& result) {
 void JsonlSink::Finish() {
   std::lock_guard<std::mutex> lk(mu_);
   os_->flush();
+  DRTP_CHECK_MSG(os_->good(), "cannot write result lines");
 }
 
 TableSink::TableSink(std::ostream& os) : os_(os) {}

@@ -100,6 +100,8 @@ class JsonlSink : public ResultSink {
   /// not owned and must outlive the sink.
   void AttachJournal(CheckpointJournal* journal);
 
+  /// Both throw CheckError when the stream lost output (full disk,
+  /// closed pipe); a failed line is never journaled.
   void Consume(const CellResult& result) override;
   void Finish() override;
 

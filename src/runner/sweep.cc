@@ -8,7 +8,6 @@
 #include "fault/auditor.h"
 #include "fault/plan.h"
 #include "obs/metrics.h"
-#include "sim/obs_bridge.h"
 
 namespace drtp::runner {
 
@@ -166,12 +165,8 @@ CellResult SweepEngine::RunCell(const Cell& cell, obs::TraceSink* trace) {
       ScenarioFor(cell.base_seed, cell.degree, cell.pattern, cell.lambda);
   auto scheme = sim::MakeScheme(cell.scheme, topo, cell.cell_seed);
   sim::ExperimentConfig ec = Experiment();
-  std::unique_ptr<sim::ObsBridge> bridge;
-  if (trace != nullptr) {
-    bridge = std::make_unique<sim::ObsBridge>(
-        *trace, cell.scheme, static_cast<std::int64_t>(cell.index));
-    ec.trace = bridge.get();
-  }
+  ec.trace = trace;
+  ec.trace_cell = static_cast<std::int64_t>(cell.index);
   std::unique_ptr<fault::Auditor> auditor;
   std::ostringstream audit_os;
   if (spec_.audit) {
@@ -262,8 +257,17 @@ std::vector<CellResult> SweepEngine::Run(const RunOptions& options) {
     } catch (...) {
       if (failure == nullptr) failure = std::current_exception();
     }
-    for (ResultSink* sink : sinks) sink->Finish();
-    if (options.trace != nullptr) options.trace->Finish();
+    // A Finish() that throws (its stream lost output) must not skip the
+    // other sinks' flushes.
+    const auto finish = [&failure](auto* sink) {
+      try {
+        sink->Finish();
+      } catch (...) {
+        if (failure == nullptr) failure = std::current_exception();
+      }
+    };
+    for (ResultSink* sink : sinks) finish(sink);
+    if (options.trace != nullptr) finish(options.trace);
     if (failure != nullptr) std::rethrow_exception(failure);
   }
   return results;

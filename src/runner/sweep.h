@@ -150,8 +150,9 @@ class SweepEngine {
                                    sim::TrafficPattern pattern, double lambda);
 
   /// Runs one cell synchronously (the unit of work Run() parallelises).
-  /// When `trace` is set, the cell's lifecycle events are written to it
-  /// through a sim::ObsBridge stamped with the cell index and scheme.
+  /// When `trace` is set, the replay writes the cell's lifecycle events
+  /// to it, stamped with the cell index (ExperimentConfig::trace_cell)
+  /// and the scheme label.
   CellResult RunCell(const Cell& cell, obs::TraceSink* trace = nullptr);
 
  private:

@@ -123,15 +123,34 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
 
   std::unordered_set<ConnId> admitted_ids;
 
-  // Scratch for the per-link APLV annotations attached to admit /
-  // reestablish trace records; only filled when tracing is on.
+  // Trace records, built only when config.trace is set. `stamp` starts a
+  // record with its time, kind, cell and scheme (m.scheme, the one
+  // scheme.name() call); `with_backup` attaches a backup route and the
+  // post-event APLV maxima on its links; `with_impact` attaches a
+  // failure's aggregate counts. The spans point into the network's path
+  // storage and aplv_scratch, valid through the Write() call.
+  const auto stamp = [&](Time t, obs::TraceEventKind kind) {
+    obs::TraceEvent ev;
+    ev.t = t;
+    ev.kind = kind;
+    ev.cell = config.trace_cell;
+    ev.scheme = m.scheme;
+    return ev;
+  };
   std::vector<std::pair<LinkId, std::int32_t>> aplv_scratch;
-  const auto backup_aplv = [&](const routing::Path& b) -> BackupAplv {
+  const auto with_backup = [&](obs::TraceEvent& ev, const routing::Path& b) {
     aplv_scratch.clear();
     for (const LinkId l : b.links()) {
       aplv_scratch.emplace_back(l, net.aplv(l).Max());
     }
-    return aplv_scratch;
+    ev.backup = b.nodes();
+    ev.aplv = aplv_scratch;
+  };
+  const auto with_impact = [](obs::TraceEvent& ev,
+                              const core::SwitchoverReport& report) {
+    ev.recovered = static_cast<int>(report.recovered.size());
+    ev.dropped = static_cast<int>(report.dropped.size());
+    ev.broken = static_cast<int>(report.backups_lost.size());
   };
 
   // inspect_final fires once the clock passes the horizon, i.e. on the
@@ -202,8 +221,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
       Counters().reprotects.Add();
       degraded_pending.erase(r.conn);
       if (config.trace != nullptr) {
-        config.trace->OnReestablish(r.at, r.conn, *backup,
-                                    backup_aplv(*backup));
+        obs::TraceEvent ev = stamp(r.at, obs::TraceEventKind::kReestablish);
+        ev.conn = r.conn;
+        with_backup(ev, *backup);
+        config.trace->Write(ev);
       }
     } else if (r.attempt < config.reprotect_max_retries) {
       schedule_retry(r.conn, r.attempt + 1, r.at);
@@ -230,7 +251,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         ++m.degraded;
         Counters().degraded.Add();
         if (config.trace != nullptr) {
-          config.trace->OnDegrade(t, id, config.reprotect_max_retries);
+          obs::TraceEvent ev = stamp(t, obs::TraceEventKind::kDegrade);
+          ev.conn = id;
+          ev.retries_left = config.reprotect_max_retries;
+          config.trace->Write(ev);
         }
         if (config.reprotect_max_retries > 0) {
           schedule_retry(id, 1, t);
@@ -266,25 +290,36 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         static_cast<std::int64_t>(report.rerouted.size()));
     if (config.trace != nullptr) {
       // Per-connection consequences, in the report's (deterministic)
-      // order, following the aggregate line.
+      // order, following the aggregate line. A failover record carries
+      // the promoted backup as the connection's new primary.
       for (const ConnId id : report.recovered) {
         const core::DrConnection* conn = net.Find(id);
         if (conn != nullptr) {
-          config.trace->OnFailover(t, id, conn->primary);
+          obs::TraceEvent ev = stamp(t, obs::TraceEventKind::kFailover);
+          ev.conn = id;
+          ev.primary = conn->primary.nodes();
+          config.trace->Write(ev);
         }
       }
       for (const ConnId id : report.dropped) {
-        config.trace->OnDrop(t, id);
+        obs::TraceEvent ev = stamp(t, obs::TraceEventKind::kDrop);
+        ev.conn = id;
+        config.trace->Write(ev);
       }
       for (const ConnId id : report.backups_lost) {
-        config.trace->OnBackupBreak(t, id);
+        obs::TraceEvent ev = stamp(t, obs::TraceEventKind::kBackupBreak);
+        ev.conn = id;
+        config.trace->Write(ev);
       }
       for (const ConnId id : report.rerouted) {
         const core::DrConnection* conn = net.Find(id);
         const routing::Path* backup =
             conn != nullptr ? conn->first_backup() : nullptr;
         if (backup != nullptr) {
-          config.trace->OnReestablish(t, id, *backup, backup_aplv(*backup));
+          obs::TraceEvent ev = stamp(t, obs::TraceEventKind::kReestablish);
+          ev.conn = id;
+          with_backup(ev, *backup);
+          config.trace->Write(ev);
         }
       }
     }
@@ -344,7 +379,12 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
       ++m.requests;
       Counters().requests.Add();
       if (config.trace != nullptr) {
-        config.trace->OnRequest(e.time, e.conn, e.src, e.dst, e.bw);
+        obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kRequest);
+        ev.conn = e.conn;
+        ev.src = e.src;
+        ev.dst = e.dst;
+        ev.bw = e.bw;
+        config.trace->Write(ev);
       }
       // The admission sequence itself (route discovery, establishment,
       // vacuous-backup shun, backup registration) lives in
@@ -369,18 +409,26 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         Counters().admits.Add();
         if (config.trace != nullptr) {
           const core::DrConnection* conn = net.Find(e.conn);
+          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kAdmit);
+          ev.conn = e.conn;
+          ev.src = e.src;
+          ev.dst = e.dst;
+          ev.bw = e.bw;
+          ev.primary = conn->primary.nodes();
           const routing::Path* backup = conn->first_backup();
-          config.trace->OnAdmit(e.time, e.conn, conn->primary, backup,
-                                e.bw,
-                                backup != nullptr ? backup_aplv(*backup)
-                                                  : BackupAplv{});
+          if (backup != nullptr) with_backup(ev, *backup);
+          config.trace->Write(ev);
         }
         if (instant) net.PublishTo(db, e.time);
       } else {
         ++m.blocked;
         Counters().blocks.Add();
         if (config.trace != nullptr) {
-          config.trace->OnBlock(e.time, e.conn, e.src, e.dst);
+          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kBlock);
+          ev.conn = e.conn;
+          ev.src = e.src;
+          ev.dst = e.dst;
+          config.trace->Write(ev);
         }
       }
     } else if (e.type == ScenarioEvent::Type::kRelease) {
@@ -390,7 +438,11 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         net.ReleaseConnection(e.conn);
         note_active(e.time, active_count - 1);
         Counters().releases.Add();
-        if (config.trace != nullptr) config.trace->OnRelease(e.time, e.conn);
+        if (config.trace != nullptr) {
+          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kRelease);
+          ev.conn = e.conn;
+          config.trace->Write(ev);
+        }
         if (instant) net.PublishTo(db, e.time);
       }
     } else if (e.type == ScenarioEvent::Type::kLinkFail) {
@@ -400,11 +452,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
             core::ApplyLinkFailure(net, e.link, e.time, reroute, &db);
         Counters().link_fails.Add();
         if (config.trace != nullptr) {
-          config.trace->OnLinkFail(
-              e.time, e.link,
-              static_cast<int>(event_report->recovered.size()),
-              static_cast<int>(event_report->dropped.size()),
-              static_cast<int>(event_report->backups_lost.size()));
+          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kLinkFail);
+          ev.link = e.link;
+          with_impact(ev, *event_report);
+          config.trace->Write(ev);
         }
         fanout_failure(e.time, *event_report);
       }
@@ -414,7 +465,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         Counters().link_repairs.Add();
         scheme.OnTopologyChanged(net);
         if (config.trace != nullptr) {
-          config.trace->OnLinkRepair(e.time, e.link);
+          obs::TraceEvent ev =
+              stamp(e.time, obs::TraceEventKind::kLinkRepair);
+          ev.link = e.link;
+          config.trace->Write(ev);
         }
         if (instant) net.PublishTo(db, e.time);
       }
@@ -431,11 +485,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         node_downed[e.node] = std::move(taking_down);
         Counters().node_fails.Add();
         if (config.trace != nullptr) {
-          config.trace->OnNodeFail(
-              e.time, e.node,
-              static_cast<int>(event_report->recovered.size()),
-              static_cast<int>(event_report->dropped.size()),
-              static_cast<int>(event_report->backups_lost.size()));
+          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kNodeFail);
+          ev.node = e.node;
+          with_impact(ev, *event_report);
+          config.trace->Write(ev);
         }
         fanout_failure(e.time, *event_report);
       }
@@ -448,7 +501,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
           Counters().node_repairs.Add();
           scheme.OnTopologyChanged(net);
           if (config.trace != nullptr) {
-            config.trace->OnNodeRepair(e.time, e.node);
+            obs::TraceEvent ev =
+                stamp(e.time, obs::TraceEventKind::kNodeRepair);
+            ev.node = e.node;
+            config.trace->Write(ev);
           }
           if (instant) net.PublishTo(db, e.time);
         }
@@ -466,11 +522,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         srlg_downed[e.srlg] = std::move(taking_down);
         Counters().srlg_fails.Add();
         if (config.trace != nullptr) {
-          config.trace->OnSrlgFail(
-              e.time, e.srlg,
-              static_cast<int>(event_report->recovered.size()),
-              static_cast<int>(event_report->dropped.size()),
-              static_cast<int>(event_report->backups_lost.size()));
+          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kSrlgFail);
+          ev.srlg = e.srlg;
+          with_impact(ev, *event_report);
+          config.trace->Write(ev);
         }
         fanout_failure(e.time, *event_report);
       }
@@ -483,7 +538,10 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
           Counters().srlg_repairs.Add();
           scheme.OnTopologyChanged(net);
           if (config.trace != nullptr) {
-            config.trace->OnSrlgRepair(e.time, e.srlg);
+            obs::TraceEvent ev =
+                stamp(e.time, obs::TraceEventKind::kSrlgRepair);
+            ev.srlg = e.srlg;
+            config.trace->Write(ev);
           }
           if (instant) net.PublishTo(db, e.time);
         }

@@ -16,9 +16,9 @@
 #include "drtp/network.h"
 #include "drtp/scheme.h"
 #include "net/topology.h"
+#include "obs/trace.h"
 #include "sim/metrics.h"
 #include "sim/scenario.h"
-#include "sim/trace.h"
 
 namespace drtp::sim {
 
@@ -61,9 +61,12 @@ struct ExperimentConfig {
   /// window (before trailing releases drain it) — audits, custom metrics.
   /// Null = disabled.
   std::function<void(const core::DrtpNetwork&)> inspect_final;
-  /// Receives every replay event (admissions, blocks, releases, failures);
-  /// not owned. Null = tracing off.
-  TraceSink* trace = nullptr;
+  /// Receives one obs::TraceEvent per replay event (admissions, blocks,
+  /// releases, failures), stamped with scheme.name() and trace_cell; not
+  /// owned. Null = tracing off.
+  obs::TraceSink* trace = nullptr;
+  /// Sweep-cell index stamped on every trace record; -1 for single runs.
+  std::int64_t trace_cell = -1;
 };
 
 /// Replays `scenario` on a fresh DrtpNetwork over `topo` using `scheme`.

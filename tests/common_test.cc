@@ -141,22 +141,6 @@ TEST(TimeWeightedStat, AverageBeforeStartIsZero) {
   EXPECT_EQ(s.Average(5.0), 0.0);
 }
 
-TEST(Histogram, BinningAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.Add(i / 10.0);  // uniform over [0,10)
-  EXPECT_EQ(h.total(), 100);
-  EXPECT_NEAR(h.Quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.Quantile(1.0), 10.0, 1.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 2);
-  h.Add(-5.0);
-  h.Add(5.0);
-  EXPECT_EQ(h.count(0), 1);
-  EXPECT_EQ(h.count(1), 1);
-}
-
 TEST(Ratio, Aggregation) {
   Ratio r;
   r.Add(true);

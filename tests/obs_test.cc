@@ -25,7 +25,6 @@
 #include "obs/trace.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
-#include "sim/obs_bridge.h"
 
 namespace drtp::obs {
 namespace {
@@ -369,26 +368,6 @@ TEST(Trace, ChromeSinkOpensAndClosesSpans) {
   // 2.5 sim-seconds -> 2.5e6 trace µs.
   EXPECT_NE(out.find("\"dur\":2500000"), std::string::npos);
   EXPECT_EQ(out.substr(out.size() - 3), "]}\n");
-}
-
-TEST(Trace, ObsBridgeStampsSchemeAndCell) {
-  std::ostringstream os;
-  JsonlTraceSink jsonl(os);
-  sim::ObsBridge bridge(jsonl, "P-LSR", /*cell=*/5);
-  bridge.OnRequest(2.0, 1, 0, 3, 500);
-  bridge.OnLinkFail(4.0, 7, 2, 1, 0);
-  jsonl.Finish();
-
-  std::istringstream lines(os.str());
-  std::string l1, l2;
-  ASSERT_TRUE(std::getline(lines, l1));
-  ASSERT_TRUE(std::getline(lines, l2));
-  EXPECT_NE(l1.find("\"ev\":\"request\""), std::string::npos);
-  EXPECT_NE(l1.find("\"scheme\":\"P-LSR\""), std::string::npos);
-  EXPECT_NE(l1.find("\"cell\":5"), std::string::npos);
-  EXPECT_NE(l2.find("\"ev\":\"link_fail\""), std::string::npos);
-  EXPECT_NE(l2.find("\"recovered\":2"), std::string::npos);
-  EXPECT_NE(l2.find("\"dropped\":1"), std::string::npos);
 }
 
 // --- golden-file determinism across --jobs --------------------------------

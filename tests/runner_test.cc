@@ -12,6 +12,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -494,6 +495,27 @@ TEST(JsonlSinkTest, LinesParseAndCarrySchemaVersion) {
     EXPECT_TRUE(JsonValidator(line).Valid()) << line;
   }
   EXPECT_EQ(lines, results.size());
+}
+
+/// A stream buffer that accepts nothing, like a full disk.
+class FullBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override {
+    return 0;
+  }
+};
+
+TEST(JsonlSinkTest, FailsWhenOutputIsLost) {
+  FullBuf full;
+  std::ostream os(&full);
+  JsonlSink sink(os);
+  SweepEngine engine(TinySpec());
+  SweepEngine::RunOptions ro;
+  ro.sinks = {&sink};
+  EXPECT_THROW(engine.Run(ro), CheckError);
+  EXPECT_EQ(sink.lines_written(), 0);
+  EXPECT_THROW(sink.Finish(), CheckError);
 }
 
 TEST(JsonWriterTest, EscapesAndFormats) {

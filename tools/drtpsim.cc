@@ -31,7 +31,6 @@
 #include "fault/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/obs_bridge.h"
 #include "drtp/drtp.h"
 #include "drtp/failure.h"
 #include "net/graphio.h"
@@ -132,6 +131,8 @@ int CmdTopo(int argc, char** argv) {
     std::ofstream os(out);
     if (!os.good()) return Fail("cannot write '" + out + "'");
     os << text;
+    os.flush();
+    DRTP_CHECK_MSG(os.good(), "cannot write '" << out << "'");
     std::fprintf(stderr, "wrote %s (%d nodes, %d links)\n", out.c_str(),
                  topo.num_nodes(), topo.num_links());
   }
@@ -194,6 +195,8 @@ int CmdScenario(int argc, char** argv) {
     std::ofstream os(out);
     if (!os.good()) return Fail("cannot write '" + out + "'");
     sc.Save(os);
+    os.flush();
+    DRTP_CHECK_MSG(os.good(), "cannot write '" << out << "'");
     std::fprintf(stderr, "wrote %s (%lld requests, %lld failures)\n",
                  out.c_str(), static_cast<long long>(sc.NumRequests()),
                  static_cast<long long>(sc.NumFailures()));
@@ -265,27 +268,16 @@ int CmdRun(int argc, char** argv) {
   ec.spare_mode = dedicated ? core::SpareMode::kDedicated
                             : core::SpareMode::kMultiplexed;
   ec.lsdb_refresh_interval = refresh;
-  std::ofstream trace_file;
-  std::unique_ptr<sim::TextTraceSink> trace;
-  std::unique_ptr<obs::TraceSink> obs_trace;
-  std::unique_ptr<sim::ObsBridge> bridge;
+  std::unique_ptr<obs::TraceSink> trace;
   if (!trace_path.empty()) {
     if (trace_format == "text") {
-      trace_file.open(trace_path);
-      if (!trace_file.good()) {
-        return Fail("cannot write '" + trace_path + "'");
-      }
-      trace = std::make_unique<sim::TextTraceSink>(trace_file);
-      ec.trace = trace.get();
+      trace = std::make_unique<obs::TextTraceSink>(trace_path);
+    } else if (trace_format == "jsonl") {
+      trace = std::make_unique<obs::JsonlTraceSink>(trace_path);
     } else {
-      if (trace_format == "jsonl") {
-        obs_trace = std::make_unique<obs::JsonlTraceSink>(trace_path);
-      } else {
-        obs_trace = std::make_unique<obs::ChromeTraceSink>(trace_path);
-      }
-      bridge = std::make_unique<sim::ObsBridge>(*obs_trace, scheme_name);
-      ec.trace = bridge.get();
+      trace = std::make_unique<obs::ChromeTraceSink>(trace_path);
     }
+    ec.trace = trace.get();
   }
   auto scheme = sim::MakeScheme(scheme_name, topo,
                                 static_cast<std::uint64_t>(seed));
@@ -309,7 +301,7 @@ int CmdRun(int argc, char** argv) {
     };
   }
   const sim::RunMetrics m = sim::RunScenario(topo, sc, *scheme, ec);
-  if (obs_trace != nullptr) obs_trace->Finish();
+  if (trace != nullptr) trace->Finish();
   int exit_code = 0;
   if (auditor != nullptr) {
     std::fprintf(stderr,
@@ -320,10 +312,6 @@ int CmdRun(int argc, char** argv) {
     if (!auditor->ok()) exit_code = 3;
   }
   if (trace != nullptr) {
-    std::fprintf(stderr, "wrote %lld trace lines to %s\n",
-                 static_cast<long long>(trace->lines_written()),
-                 trace_path.c_str());
-  } else if (obs_trace != nullptr) {
     std::fprintf(stderr, "wrote %s trace to %s\n", trace_format.c_str(),
                  trace_path.c_str());
   }
@@ -334,6 +322,8 @@ int CmdRun(int argc, char** argv) {
     std::ofstream os(metrics_out, std::ios::trunc);
     if (!os.good()) return Fail("cannot write '" + metrics_out + "'");
     os << w.str() << '\n';
+    os.flush();
+    DRTP_CHECK_MSG(os.good(), "cannot write '" << metrics_out << "'");
   }
 
   if (format == "json") {

@@ -320,6 +320,8 @@ int main(int argc, char** argv) {
       std::ofstream os(metrics_out, std::ios::trunc);
       DRTP_CHECK_MSG(os.good(), "cannot write '" << metrics_out << "'");
       os << w.str() << '\n';
+      os.flush();
+      DRTP_CHECK_MSG(os.good(), "cannot write '" << metrics_out << "'");
     }
     if (audit) {
       // Per-cell violation lines, concatenated in cell order so the file
