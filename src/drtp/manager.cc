@@ -6,69 +6,6 @@
 
 namespace drtp::core {
 
-Bandwidth DemandVector::at(LinkId j) const {
-  DRTP_DCHECK(j >= 0 && j < num_links_);
-  if (!wide()) return demand_[static_cast<std::size_t>(j)];
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
-  if (it == keys_.end() || *it != j) return 0;
-  return vals_[static_cast<std::size_t>(it - keys_.begin())];
-}
-
-void DemandVector::Add(const routing::LinkSet& lset, Bandwidth bw) {
-  DRTP_CHECK(bw > 0);
-  for (LinkId j : lset) {
-    DRTP_CHECK(j >= 0 && j < num_links_);
-    Bandwidth d;
-    if (!wide()) {
-      d = demand_[static_cast<std::size_t>(j)] += bw;
-    } else {
-      const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
-      if (it != keys_.end() && *it == j) {
-        d = vals_[static_cast<std::size_t>(it - keys_.begin())] += bw;
-      } else {
-        vals_.insert(vals_.begin() + (it - keys_.begin()), bw);
-        keys_.insert(it, j);
-        d = bw;
-      }
-    }
-    if (d > max_) max_ = d;
-  }
-}
-
-void DemandVector::Remove(const routing::LinkSet& lset, Bandwidth bw) {
-  bool touched_max = false;
-  for (LinkId j : lset) {
-    DRTP_CHECK(j >= 0 && j < num_links_);
-    if (!wide()) {
-      auto& d = demand_[static_cast<std::size_t>(j)];
-      DRTP_CHECK_MSG(d >= bw, "removing more demand than present on " << j);
-      if (d == max_) touched_max = true;
-      d -= bw;
-    } else {
-      const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
-      DRTP_CHECK_MSG(it != keys_.end() && *it == j &&
-                         vals_[static_cast<std::size_t>(it - keys_.begin())] >=
-                             bw,
-                     "removing more demand than present on " << j);
-      const auto idx = static_cast<std::size_t>(it - keys_.begin());
-      if (vals_[idx] == max_) touched_max = true;
-      vals_[idx] -= bw;
-      if (vals_[idx] == 0) {  // canonical: no zero entries
-        keys_.erase(it);
-        vals_.erase(vals_.begin() + static_cast<std::ptrdiff_t>(idx));
-      }
-    }
-  }
-  if (touched_max) {
-    max_ = 0;
-    if (!wide()) {
-      for (Bandwidth d : demand_) max_ = std::max(max_, d);
-    } else {
-      for (Bandwidth d : vals_) max_ = std::max(max_, d);
-    }
-  }
-}
-
 int BackupTable::Find(ConnId id) const {
   const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
   return it != ids_.end() && *it == id ? static_cast<int>(it - ids_.begin())
@@ -107,14 +44,14 @@ std::span<const LinkId> BackupTable::lset(int i) const {
 }
 
 std::vector<ManagedLink> MakeLinkTable(const net::Topology& topo) {
+  const int n = topo.num_links();
   std::vector<ManagedLink> links;
-  links.reserve(static_cast<std::size_t>(topo.num_links()));
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
+  links.reserve(static_cast<std::size_t>(n));
+  for (LinkId l = 0; l < n; ++l) {
     links.push_back(ManagedLink{
-        lsdb::Aplv(topo.num_links()), DemandVector(topo.num_links()),
-        topo.has_srlgs()
-            ? lsdb::SrlgVector(topo.num_srlgs(), topo.num_links())
-            : lsdb::SrlgVector(),
+        lsdb::Aplv(n), DemandVector(n, n),
+        topo.has_srlgs() ? lsdb::SrlgVector(topo.num_srlgs(), n)
+                         : lsdb::SrlgVector(),
         0, {}});
   }
   return links;
@@ -157,11 +94,9 @@ bool DrConnectionManager::RegisterBackupHop(LinkId link,
                                       << " already has a backup on link "
                                       << link);
   ml.aplv.AddPrimaryLset(p.primary_lset);
-  if (ml.srlg_aplv.num_srlgs() > 0) {
-    ml.srlg_aplv.AddLset(p.primary_lset,
-                         [&](LinkId j) { return topo_->srlg(j); });
-  }
-  ml.demand.Add(p.primary_lset, p.bw);
+  ml.srlg_aplv.AddLset(p.primary_lset,
+                       [&](LinkId j) { return topo_->srlg(j); });
+  ml.demand.AddAll(p.primary_lset, p.bw);
   ml.total_backup_bw += p.bw;
   return Reconcile(link, ml);
 }
@@ -179,11 +114,9 @@ void DrConnectionManager::ReleaseBackupHop(LinkId link,
   DRTP_CHECK_MSG(ml.backups.bw(i) == p.bw,
                  "release bandwidth mismatch for connection " << p.conn_id);
   ml.aplv.RemovePrimaryLset(p.primary_lset);
-  if (ml.srlg_aplv.num_srlgs() > 0) {
-    ml.srlg_aplv.RemoveLset(p.primary_lset,
-                            [&](LinkId j) { return topo_->srlg(j); });
-  }
-  ml.demand.Remove(p.primary_lset, p.bw);
+  ml.srlg_aplv.RemoveLset(p.primary_lset,
+                          [&](LinkId j) { return topo_->srlg(j); });
+  ml.demand.SubAll(p.primary_lset, p.bw);
   ml.total_backup_bw -= p.bw;
   ml.backups.Erase(i);
   Reconcile(link, ml);

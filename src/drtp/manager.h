@@ -25,6 +25,7 @@
 #include "common/types.h"
 #include "drtp/messages.h"
 #include "lsdb/aplv.h"
+#include "lsdb/count_vector.h"
 #include "lsdb/srlg_vector.h"
 #include "net/bandwidth_ledger.h"
 #include "net/topology.h"
@@ -43,35 +44,8 @@ enum class SpareMode {
 /// bandwidth that would activate on this link if link L_j failed. The §5
 /// sizing rule generalizes from `max(APLV) × bw` (identical-bandwidth
 /// connections, the paper's simplification) to `max_j demand[j]` for
-/// heterogeneous bandwidths.
-///
-/// Same hybrid storage as lsdb::Aplv: dense at paper scale, a sorted
-/// nonzero-only struct-of-arrays pair above kWideLinkThreshold links.
-class DemandVector {
- public:
-  DemandVector() = default;
-  explicit DemandVector(int num_links) : num_links_(num_links) {
-    if (!wide()) demand_.assign(static_cast<std::size_t>(num_links), 0);
-  }
-
-  void Add(const routing::LinkSet& lset, Bandwidth bw);
-  void Remove(const routing::LinkSet& lset, Bandwidth bw);
-
-  /// Worst-case simultaneous activation bandwidth under a single link
-  /// failure.
-  Bandwidth Max() const { return max_; }
-
-  Bandwidth at(LinkId j) const;
-
- private:
-  bool wide() const { return num_links_ > lsdb::kWideLinkThreshold; }
-
-  int num_links_ = 0;
-  std::vector<Bandwidth> demand_;  // dense mode only
-  std::vector<LinkId> keys_;       // wide mode: sorted nonzero indices
-  std::vector<Bandwidth> vals_;    // wide mode: demands, parallel to keys_
-  Bandwidth max_ = 0;
-};
+/// heterogeneous bandwidths. Built as DemandVector(num_links, num_links).
+using DemandVector = lsdb::CountVector<Bandwidth>;
 
 /// A link's backup channel table: which backups are registered on it, with
 /// the bandwidth and primary LSET each registered. Flat and sorted by

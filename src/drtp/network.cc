@@ -372,45 +372,26 @@ void DrtpNetwork::ReconcileOverbooked() {
 
 void DrtpNetwork::CheckConsistency() const {
   ledger_.CheckInvariants();
-  // Rebuild expected APLVs from the connection table.
-  std::vector<lsdb::Aplv> expected(
-      static_cast<std::size_t>(topo_.num_links()),
-      lsdb::Aplv(topo_.num_links()));
-  std::vector<DemandVector> expected_demand(
-      static_cast<std::size_t>(topo_.num_links()),
-      DemandVector(topo_.num_links()));
-  std::vector<lsdb::SrlgVector> expected_srlg(
-      static_cast<std::size_t>(topo_.num_links()),
-      topo_.has_srlgs()
-          ? lsdb::SrlgVector(topo_.num_srlgs(), topo_.num_links())
-          : lsdb::SrlgVector());
+  // Rebuild every link's protection counts from the connection table.
+  std::vector<ManagedLink> expected = MakeLinkTable(topo_);
   const auto srlg_of = [&](LinkId j) { return topo_.srlg(j); };
   for (const auto& [id, conn] : conns_) {
     for (const routing::Path& backup : conn.backups) {
       for (LinkId l : backup.links()) {
-        expected[static_cast<std::size_t>(l)].AddPrimaryLset(
-            conn.primary_lset);
-        expected_demand[static_cast<std::size_t>(l)].Add(conn.primary_lset,
-                                                         conn.bw);
-        if (topo_.has_srlgs()) {
-          expected_srlg[static_cast<std::size_t>(l)].AddLset(
-              conn.primary_lset, srlg_of);
-        }
+        ManagedLink& e = expected[static_cast<std::size_t>(l)];
+        e.aplv.AddPrimaryLset(conn.primary_lset);
+        e.demand.AddAll(conn.primary_lset, conn.bw);
+        e.srlg_aplv.AddLset(conn.primary_lset, srlg_of);
       }
     }
   }
   for (LinkId l = 0; l < topo_.num_links(); ++l) {
-    DRTP_CHECK_MSG(expected[static_cast<std::size_t>(l)] == aplv(l),
-                   "APLV mismatch on link " << l);
+    const ManagedLink& e = expected[static_cast<std::size_t>(l)];
     const ManagedLink& ml = links_[static_cast<std::size_t>(l)];
-    DRTP_CHECK_MSG(expected_srlg[static_cast<std::size_t>(l)] == ml.srlg_aplv,
+    DRTP_CHECK_MSG(e.aplv == ml.aplv, "APLV mismatch on link " << l);
+    DRTP_CHECK_MSG(e.srlg_aplv == ml.srlg_aplv,
                    "per-SRLG aggregate mismatch on link " << l);
-    for (LinkId j = 0; j < topo_.num_links(); ++j) {
-      DRTP_CHECK_MSG(
-          expected_demand[static_cast<std::size_t>(l)].at(j) ==
-              ml.demand.at(j),
-          "demand mismatch on link " << l << " element " << j);
-    }
+    DRTP_CHECK_MSG(e.demand == ml.demand, "demand mismatch on link " << l);
     // Spare pools meet their targets unless the link is out of free
     // bandwidth (§5's best-effort growth), in which case the link must be
     // flagged overbooked.

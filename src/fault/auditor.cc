@@ -84,15 +84,11 @@ void Auditor::Audit(const core::DrtpNetwork& net, Time t,
 
   // ---- ground truth rebuilt from the connection table alone -------------
   std::vector<Bandwidth> prime(idx(num_links), 0);
-  std::vector<lsdb::Aplv> aplv(idx(num_links), lsdb::Aplv(num_links));
-  std::vector<core::DemandVector> demand(idx(num_links),
-                                         core::DemandVector(num_links));
+  // Per-link protection counts (APLV, demand, per-SRLG aggregate, backup
+  // bandwidth), in the manager's own record type.
+  std::vector<core::ManagedLink> rebuilt = core::MakeLinkTable(topo);
   const bool tagged = topo.has_srlgs();
-  std::vector<lsdb::SrlgVector> srlg_aplv(
-      idx(num_links), tagged ? lsdb::SrlgVector(topo.num_srlgs(), num_links)
-                             : lsdb::SrlgVector());
   const auto srlg_of = [&](LinkId l) { return topo.srlg(l); };
-  std::vector<Bandwidth> backup_bw(idx(num_links), 0);
   std::vector<std::vector<ConnId>> prim_on(idx(num_links));
   std::vector<std::vector<ConnId>> back_on(idx(num_links));
 
@@ -124,10 +120,11 @@ void Auditor::Audit(const core::DrtpNetwork& net, Time t,
         fail("conn.backup_shadows_primary", os.str(), kInvalidLink, id);
       }
       for (const LinkId l : conn.backups[i].links()) {
-        aplv[idx(l)].AddPrimaryLset(conn.primary_lset);
-        demand[idx(l)].Add(conn.primary_lset, conn.bw);
-        if (tagged) srlg_aplv[idx(l)].AddLset(conn.primary_lset, srlg_of);
-        backup_bw[idx(l)] += conn.bw;
+        core::ManagedLink& e = rebuilt[idx(l)];
+        e.aplv.AddPrimaryLset(conn.primary_lset);
+        e.demand.AddAll(conn.primary_lset, conn.bw);
+        e.srlg_aplv.AddLset(conn.primary_lset, srlg_of);
+        e.total_backup_bw += conn.bw;
         auto& v = back_on[idx(l)];
         if (v.empty() || v.back() != id) v.push_back(id);
       }
@@ -187,12 +184,12 @@ void Auditor::Audit(const core::DrtpNetwork& net, Time t,
     }
 
     // APLV bit-equality against the from-scratch rebuild.
-    if (!(net.aplv(l) == aplv[idx(l)])) {
+    const core::ManagedLink& e = rebuilt[idx(l)];
+    const auto& mgr = net.manager(topo.link(l).src);
+    if (!(net.aplv(l) == e.aplv)) {
       fail("aplv.mismatch", "incremental APLV != rebuilt APLV", l);
     }
-    if (tagged &&
-        !(net.manager(topo.link(l).src).managed(l).srlg_aplv ==
-          srlg_aplv[idx(l)])) {
+    if (!(mgr.managed(l).srlg_aplv == e.srlg_aplv)) {
       fail("srlg.aggregate_mismatch",
            "incremental per-SRLG aggregate != rebuilt aggregate", l);
     }
@@ -200,11 +197,10 @@ void Auditor::Audit(const core::DrtpNetwork& net, Time t,
     // Spare-pool sufficiency: the manager's target must equal the §5 rule
     // recomputed from scratch, and the pool must meet it unless free
     // bandwidth is exhausted (then the link must be flagged overbooked).
-    const auto& mgr = net.manager(topo.link(l).src);
     const Bandwidth want =
         net.config().spare_mode == core::SpareMode::kMultiplexed
-            ? demand[idx(l)].Max()
-            : backup_bw[idx(l)];
+            ? e.demand.Max()
+            : e.total_backup_bw;
     const Bandwidth target = mgr.SpareTarget(l);
     if (target != want) {
       std::ostringstream os;

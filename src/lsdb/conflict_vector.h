@@ -17,9 +17,11 @@
 namespace drtp::lsdb {
 
 /// Link-count threshold above which per-link protection state switches
-/// from dense eager layouts to sparse/lazy ones. At or below it (every
-/// paper-scale topology: 60 nodes ≈ 200 links) the containers behave
-/// exactly as they always have — full-width allocation up front — so
+/// from dense eager layouts to sparse/lazy ones. Exactly two classes
+/// read it: CountVector (dense array or sorted nonzero pairs) and
+/// ConflictVector (full words or an elided zero tail). At or below it
+/// (every paper-scale topology: 60 nodes ≈ 200 links) the containers
+/// behave exactly as they always have — full-width allocation up front — so
 /// word spans, digests and figure outputs are bit-stable. Above it, an
 /// eagerly dense per-link vector costs O(links) each across O(links)
 /// instances (terabytes at 10k nodes), so storage allocates on demand.

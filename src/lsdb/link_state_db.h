@@ -2,10 +2,11 @@
 //
 // Routers advertise, per outgoing link: available bandwidth plus the
 // scheme-specific APLV abridgement — ||APLV||_1 for P-LSR, the Conflict
-// Vector for D-LSR. The database is the *routing view*: with the default
-// refresh interval of 0 it mirrors authoritative state instantly (the
-// paper's simulation assumption); a positive interval models advertisement
-// staleness for ablations.
+// Vector for D-LSR, and on SRLG-tagged topologies the per-SRLG aggregate
+// for the SRLG-aware schemes. The database is the *routing view*: with
+// the default refresh interval of 0 it mirrors authoritative state
+// instantly (the paper's simulation assumption); a positive interval
+// models advertisement staleness for ablations.
 #pragma once
 
 #include <cstdint>

@@ -6,24 +6,20 @@
 // same way P-LSR reads ||APLV||_1 — correlated-failure exposure scored
 // from advertised local state only, no global knowledge.
 //
-// Storage follows the lsdb::Aplv discipline: dense counts at paper scale,
-// a sorted nonzero-only struct-of-arrays pair above kWideLinkThreshold
-// links (group counts are as sparse as the APLV itself — a link's backups
-// cross a handful of risk groups, not all of them). Zero entries are
-// erased so the sparse form stays canonical and the defaulted equality
-// below stays semantic. A default-constructed vector (zero groups) is the
-// representation for untagged topologies and costs nothing to copy or
-// compare, which keeps SRLG-free runs byte-identical.
+// It is a CountVector over risk groups, so storage follows the APLV's:
+// dense at paper scale, sorted nonzero-only on wide topologies (a link's
+// backups cross a handful of risk groups, not all of them). A
+// default-constructed vector (zero groups) is the representation for
+// untagged topologies and costs nothing to copy or compare, which keeps
+// SRLG-free runs byte-identical.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/check.h"
 #include "common/types.h"
-#include "lsdb/conflict_vector.h"
+#include "lsdb/count_vector.h"
 #include "routing/path.h"
 
 namespace drtp::lsdb {
@@ -31,127 +27,62 @@ namespace drtp::lsdb {
 class SrlgVector {
  public:
   SrlgVector() = default;
-  SrlgVector(int num_srlgs, int num_links)
-      : num_srlgs_(num_srlgs), wide_(num_links > kWideLinkThreshold) {
-    DRTP_CHECK(num_srlgs >= 0);
-    if (!wide_) counts_.assign(static_cast<std::size_t>(num_srlgs), 0);
-  }
+  SrlgVector(int num_srlgs, int num_links) : counts_(num_srlgs, num_links) {}
 
-  int num_srlgs() const { return num_srlgs_; }
+  int num_srlgs() const { return counts_.size(); }
 
-  std::int32_t at(SrlgId g) const {
-    DRTP_DCHECK(g >= 0 && g < num_srlgs_);
-    if (!wide_) return counts_[static_cast<std::size_t>(g)];
-    const auto it = std::lower_bound(keys_.begin(), keys_.end(), g);
-    if (it == keys_.end() || *it != g) return 0;
-    return cnts_[static_cast<std::size_t>(it - keys_.begin())];
-  }
+  std::int32_t at(SrlgId g) const { return counts_.at(g); }
 
   /// Σ_g at(g) — equals ||APLV||_1 restricted to tagged links.
-  std::int64_t total() const { return total_; }
+  std::int64_t total() const { return counts_.total(); }
 
   /// Registers a backup whose primary has the given LSET: every tagged
   /// link of the LSET bumps its group. `srlg_of` maps LinkId -> SrlgId
-  /// (kInvalidSrlg = untagged, skipped).
+  /// (kInvalidSrlg = untagged, skipped). A zero-group vector (untagged
+  /// topology) skips the lookups.
   template <typename SrlgOf>
   void AddLset(const routing::LinkSet& lset, SrlgOf&& srlg_of) {
-    for (const LinkId j : lset) {
-      const SrlgId g = srlg_of(j);
-      if (g == kInvalidSrlg) continue;
-      DRTP_CHECK(g >= 0 && g < num_srlgs_);
-      Bump(g, +1);
-    }
+    if (num_srlgs() > 0) counts_.AddAll(GroupsOf(lset, srlg_of), 1);
   }
 
-  /// Inverse of AddLset. The whole LSET is validated before any element
-  /// changes (same contract as Aplv::RemovePrimaryLset), so a failed
+  /// Inverse of AddLset, with CountVector::SubAll's contract: a failed
   /// removal throws CheckError with the vector untouched.
   template <typename SrlgOf>
   void RemoveLset(const routing::LinkSet& lset, SrlgOf&& srlg_of) {
-    std::vector<SrlgId> groups;
-    groups.reserve(lset.size());
-    for (const LinkId j : lset) {
-      const SrlgId g = srlg_of(j);
-      if (g == kInvalidSrlg) continue;
-      DRTP_CHECK(g >= 0 && g < num_srlgs_);
-      groups.push_back(g);
-    }
-    std::sort(groups.begin(), groups.end());
-    for (std::size_t i = 0; i < groups.size();) {
-      std::size_t run = i;
-      while (run < groups.size() && groups[run] == groups[i]) ++run;
-      DRTP_CHECK_MSG(at(groups[i]) >= static_cast<std::int32_t>(run - i),
-                     "removing more SRLG incidences than present on group "
-                         << groups[i]);
-      i = run;
-    }
-    for (const SrlgId g : groups) Bump(g, -1);
+    if (num_srlgs() > 0) counts_.SubAll(GroupsOf(lset, srlg_of), 1);
   }
 
   /// Σ_{g ∈ groups} at(g) for a sorted, unique group list — the
   /// correlated-activation exposure of a backup candidate against a
   /// primary whose links span `groups`.
   std::int64_t SumOver(std::span<const SrlgId> groups) const {
-    std::int64_t sum = 0;
-    if (!wide_) {
-      for (const SrlgId g : groups) {
-        sum += counts_[static_cast<std::size_t>(g)];
-      }
-      return sum;
-    }
-    // Merge-join two sorted lists; both are short (primary risk groups
-    // and this link's nonzero groups).
-    std::size_t k = 0;
-    for (const SrlgId g : groups) {
-      while (k < keys_.size() && keys_[k] < g) ++k;
-      if (k == keys_.size()) break;
-      if (keys_[k] == g) sum += cnts_[k];
-    }
-    return sum;
+    return counts_.SumOver(groups);
   }
 
   /// Wire size of this advert: 4B count + 4B-id/4B-count per nonzero
   /// entry (dense cycles advertise only the nonzero groups too).
   std::int64_t AdvertBytes() const {
-    std::int64_t nonzero = 0;
-    if (!wide_) {
-      for (const std::int32_t c : counts_) nonzero += c != 0 ? 1 : 0;
-    } else {
-      nonzero = static_cast<std::int64_t>(keys_.size());
-    }
-    return 4 + 8 * nonzero;
+    return 4 + 8 * std::int64_t{counts_.nonzero()};
   }
 
   friend bool operator==(const SrlgVector&, const SrlgVector&) = default;
 
  private:
-  void Bump(SrlgId g, std::int32_t delta) {
-    total_ += delta;
-    if (!wide_) {
-      counts_[static_cast<std::size_t>(g)] += delta;
-      return;
+  /// The LSET's tagged links mapped to their groups, in a per-thread
+  /// buffer (so the vector itself carries no scratch to copy or compare).
+  template <typename SrlgOf>
+  static std::span<const SrlgId> GroupsOf(const routing::LinkSet& lset,
+                                          SrlgOf& srlg_of) {
+    thread_local std::vector<SrlgId> groups;
+    groups.clear();
+    for (const LinkId j : lset) {
+      const SrlgId g = srlg_of(j);
+      if (g != kInvalidSrlg) groups.push_back(g);
     }
-    const auto it = std::lower_bound(keys_.begin(), keys_.end(), g);
-    if (it != keys_.end() && *it == g) {
-      const auto idx = static_cast<std::size_t>(it - keys_.begin());
-      cnts_[idx] += delta;
-      if (cnts_[idx] == 0) {  // canonical: no zero entries
-        keys_.erase(it);
-        cnts_.erase(cnts_.begin() + static_cast<std::ptrdiff_t>(idx));
-      }
-    } else {
-      DRTP_DCHECK(delta > 0);
-      cnts_.insert(cnts_.begin() + (it - keys_.begin()), delta);
-      keys_.insert(it, g);
-    }
+    return groups;
   }
 
-  int num_srlgs_ = 0;
-  bool wide_ = false;
-  std::int64_t total_ = 0;
-  std::vector<std::int32_t> counts_;  // dense mode only
-  std::vector<SrlgId> keys_;          // wide mode: sorted nonzero groups
-  std::vector<std::int32_t> cnts_;    // wide mode: counts, parallel to keys_
+  CountVector<std::int32_t> counts_;
 };
 
 }  // namespace drtp::lsdb

@@ -67,6 +67,13 @@ std::string ShardedPath(const std::string& path, const ShardAssignment& shard);
 /// The journal path kept beside a sink file.
 std::string JournalPathFor(const std::string& sink_path);
 
+/// Whether a sweep writing to `sink_path` keeps a journal beside it: true
+/// when the path names a regular file or nothing yet. A device, FIFO or
+/// socket (also through a symlink, e.g. to /dev/null) can be neither
+/// truncated nor re-read, so no journal could vouch for what it received;
+/// such a sweep runs unjournaled and cannot be resumed or sharded.
+bool KeepsJournal(const std::string& sink_path);
+
 /// First line of every journal.
 struct CheckpointHeader {
   std::string spec_digest;

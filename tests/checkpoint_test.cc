@@ -6,6 +6,8 @@
 // time. The recovery contract under test: resume after any chop point
 // reproduces the uninterrupted run's bytes (modulo the wall_s field, the
 // one nondeterministic value in a result line).
+#include <sys/stat.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -153,6 +155,31 @@ TEST(ShardedPathTest, InsertsBeforeFinalExtension) {
   EXPECT_EQ(ShardedPath("dir/run.out.jsonl", two), "dir/run.out.shard-1.jsonl");
   EXPECT_EQ(ShardedPath("out", two), "out.shard-1");
   EXPECT_EQ(ShardedPath("out.jsonl", ShardAssignment{}), "out.jsonl");
+}
+
+/// Only a regular file (or a path not yet created) gets a journal beside
+/// it: a device or FIFO, named directly or through a symlink, swallows
+/// lines that a journal would then vouch for, and --resume could neither
+/// truncate nor re-read it.
+TEST(KeepsJournalTest, OnlyRegularFilesAndNewPaths) {
+  const std::string dir = TestDir();
+  WriteFile(dir + "/regular.jsonl", "");
+  EXPECT_TRUE(KeepsJournal(dir + "/regular.jsonl"));
+  EXPECT_TRUE(KeepsJournal(dir + "/not-yet.jsonl"));
+
+  fs::create_symlink("/dev/null", dir + "/sink");
+  EXPECT_FALSE(KeepsJournal(dir + "/sink"));
+  EXPECT_FALSE(KeepsJournal("/dev/null"));
+
+  const std::string fifo = dir + "/fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_FALSE(KeepsJournal(fifo));
+  fs::create_symlink(fifo, dir + "/fifo-link");
+  EXPECT_FALSE(KeepsJournal(dir + "/fifo-link"));
+
+  // Deciding creates nothing.
+  EXPECT_FALSE(fs::exists(JournalPathFor(dir + "/sink")));
+  EXPECT_FALSE(fs::exists(dir + "/not-yet.jsonl"));
 }
 
 TEST(SpecDigestTest, StableAndSensitive) {

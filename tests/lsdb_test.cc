@@ -3,10 +3,16 @@
 // (Figure 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "lsdb/aplv.h"
 #include "lsdb/conflict_vector.h"
+#include "lsdb/count_vector.h"
 #include "lsdb/link_state_db.h"
 
 namespace drtp::lsdb {
@@ -252,6 +258,98 @@ TEST(Aplv, RepeatedLinkMultiplicity) {
   EXPECT_EQ(a.Max(), 1);  // link 1 survives
   EXPECT_EQ(a.num_at_max(), 1);
   EXPECT_FALSE(a.conflict_vector().Test(2));
+}
+
+// ---- CountVector (the core of Aplv, SrlgVector and DemandVector) ----------
+
+template <typename T>
+class CountVectorProperty : public ::testing::Test {};
+using CountTypes = ::testing::Types<std::int32_t, Bandwidth>;
+TYPED_TEST_SUITE(CountVectorProperty, CountTypes);
+
+/// Differential churn against a recount: random AddAll/SubAll with
+/// repeated ids, plus SubAll calls that must fail (an element short of the
+/// delta, or an out-of-range id, at a random position) and leave the
+/// vector untouched. Ids come from a small pool so entries collide, empty
+/// out and (wide) are erased.
+template <typename T>
+void CountVectorChurn(int size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::int32_t> pool;
+  for (int i = 0; i < 24; ++i) {
+    pool.push_back(
+        static_cast<std::int32_t>(rng.Index(static_cast<std::size_t>(size))));
+  }
+  CountVector<T> v(size, size);
+  std::vector<std::pair<std::vector<std::int32_t>, T>> live;
+  for (int step = 0; step < 400; ++step) {
+    if (live.empty() || rng.Bernoulli(0.5)) {
+      std::vector<std::int32_t> ids;
+      const int n = static_cast<int>(rng.UniformInt(1, 6));
+      for (int i = 0; i < n; ++i) {
+        ids.push_back(!ids.empty() && rng.Bernoulli(0.2)
+                          ? ids[rng.Index(ids.size())]
+                          : pool[rng.Index(pool.size())]);
+      }
+      const T delta = static_cast<T>(rng.UniformInt(1, 5));
+      v.AddAll(ids, delta);
+      live.emplace_back(std::move(ids), delta);
+    } else if (rng.Bernoulli(0.25)) {
+      auto [ids, delta] = live[rng.Index(live.size())];
+      std::int32_t bad = size;  // out of range unless a short element exists
+      for (const std::int32_t j : pool) {
+        if (v.at(j) < delta) bad = j;
+      }
+      ids.insert(ids.begin() + static_cast<std::ptrdiff_t>(
+                                   rng.Index(ids.size() + 1)),
+                 bad);
+      const CountVector<T> before = v;
+      EXPECT_THROW(v.SubAll(ids, delta), CheckError);
+      ASSERT_EQ(v, before) << "size " << size << " step " << step;
+    } else {
+      const auto k = rng.Index(live.size());
+      v.SubAll(live[k].first, live[k].second);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+
+    std::vector<T> want(static_cast<std::size_t>(size), 0);
+    for (const auto& [ids, delta] : live) {
+      for (const std::int32_t j : ids) {
+        want[static_cast<std::size_t>(j)] += delta;
+      }
+    }
+    std::int64_t total = 0;
+    T max = 0;
+    std::int32_t nonzero = 0;
+    for (std::int32_t j = 0; j < size; ++j) {
+      const T w = want[static_cast<std::size_t>(j)];
+      ASSERT_EQ(v.at(j), w) << "size " << size << " step " << step
+                            << " element " << j;
+      total += w;
+      max = std::max(max, w);
+      nonzero += w != 0 ? 1 : 0;
+    }
+    const auto at_max = static_cast<std::int32_t>(
+        max > 0 ? std::count(want.begin(), want.end(), max) : 0);
+    ASSERT_EQ(v.total(), total) << "size " << size << " step " << step;
+    ASSERT_EQ(v.Max(), max) << "size " << size << " step " << step;
+    ASSERT_EQ(v.num_at_max(), at_max) << "size " << size << " step " << step;
+    ASSERT_EQ(v.nonzero(), nonzero) << "size " << size << " step " << step;
+  }
+  for (const auto& [ids, delta] : live) v.SubAll(ids, delta);
+  EXPECT_EQ(v, CountVector<T>(size, size));
+}
+
+TYPED_TEST(CountVectorProperty, DenseMatchesRecount) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    CountVectorChurn<TypeParam>(40, seed);
+  }
+}
+
+TYPED_TEST(CountVectorProperty, WideMatchesRecount) {
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    CountVectorChurn<TypeParam>(kWideLinkThreshold + 300, seed);
+  }
 }
 
 // ---- ConflictVector ---------------------------------------------------------

@@ -175,31 +175,48 @@ TEST_F(ManagerTest, RejectsEmptyLset) {
 // ---- DemandVector unit behaviour ------------------------------------------
 
 TEST(DemandVector, AddRemoveTracksMax) {
-  DemandVector d(8);
-  d.Add(routing::MakeLinkSet({1, 3}), Mbps(1));
-  d.Add(routing::MakeLinkSet({3, 5}), Mbps(2));
+  DemandVector d(8, 8);
+  d.AddAll(routing::MakeLinkSet({1, 3}), Mbps(1));
+  d.AddAll(routing::MakeLinkSet({3, 5}), Mbps(2));
   EXPECT_EQ(d.at(1), Mbps(1));
   EXPECT_EQ(d.at(3), Mbps(3));
   EXPECT_EQ(d.at(5), Mbps(2));
   EXPECT_EQ(d.Max(), Mbps(3));
-  d.Remove(routing::MakeLinkSet({3, 5}), Mbps(2));
+  d.SubAll(routing::MakeLinkSet({3, 5}), Mbps(2));
   EXPECT_EQ(d.Max(), Mbps(1));
-  d.Remove(routing::MakeLinkSet({1, 3}), Mbps(1));
+  d.SubAll(routing::MakeLinkSet({1, 3}), Mbps(1));
   EXPECT_EQ(d.Max(), 0);
 }
 
 TEST(DemandVector, RemovingTooMuchThrows) {
-  DemandVector d(4);
-  d.Add(routing::MakeLinkSet({1}), Mbps(1));
-  EXPECT_THROW(d.Remove(routing::MakeLinkSet({1}), Mbps(2)), CheckError);
-  EXPECT_THROW(d.Remove(routing::MakeLinkSet({2}), Mbps(1)), CheckError);
+  DemandVector d(4, 4);
+  d.AddAll(routing::MakeLinkSet({1}), Mbps(1));
+  EXPECT_THROW(d.SubAll(routing::MakeLinkSet({1}), Mbps(2)), CheckError);
+  EXPECT_THROW(d.SubAll(routing::MakeLinkSet({2}), Mbps(1)), CheckError);
+}
+
+/// A removal that fails its check must leave the vector untouched: the
+/// demand at element 1 stays registered and the spare target (Max) does
+/// not go stale, at both storage widths.
+TEST(DemandVector, FailedRemoveLeavesStateUntouched) {
+  for (const int links : {4, lsdb::kWideLinkThreshold + 10}) {
+    DemandVector d(links, links);
+    d.AddAll(routing::LinkSet{1}, 1000);
+    const DemandVector snapshot = d;
+    EXPECT_THROW(d.SubAll(routing::LinkSet{1, 2}, 1000), CheckError);
+    EXPECT_EQ(d.at(1), 1000) << links;
+    EXPECT_EQ(d.Max(), 1000) << links;
+    EXPECT_EQ(d, snapshot) << links;
+    d.SubAll(routing::LinkSet{1}, 1000);
+    EXPECT_EQ(d, DemandVector(links, links)) << links;
+  }
 }
 
 TEST(DemandVector, MatchesAplvUnderUniformBandwidth) {
   // With identical bandwidths the weighted rule reduces to the paper's
   // max(APLV) x bw.
   Rng rng(3);
-  DemandVector d(16);
+  DemandVector d(16, 16);
   lsdb::Aplv aplv(16);
   for (int step = 0; step < 200; ++step) {
     std::vector<LinkId> raw;
@@ -207,7 +224,7 @@ TEST(DemandVector, MatchesAplvUnderUniformBandwidth) {
     for (int i = 0; i < n; ++i)
       raw.push_back(static_cast<LinkId>(rng.Index(16)));
     const auto lset = routing::MakeLinkSet(std::move(raw));
-    d.Add(lset, Mbps(1));
+    d.AddAll(lset, Mbps(1));
     aplv.AddPrimaryLset(lset);
     ASSERT_EQ(d.Max(), static_cast<Bandwidth>(aplv.Max()) * Mbps(1));
   }
@@ -226,7 +243,7 @@ void DemandVectorChurn(int num_links, std::uint64_t seed) {
     pool.push_back(static_cast<LinkId>(
         rng.Index(static_cast<std::size_t>(num_links))));
   }
-  DemandVector d(num_links);
+  DemandVector d(num_links, num_links);
   std::vector<std::pair<routing::LinkSet, Bandwidth>> registered;
   for (int step = 0; step < 400; ++step) {
     if (registered.empty() || rng.Bernoulli(0.55)) {
@@ -240,11 +257,11 @@ void DemandVectorChurn(int num_links, std::uint64_t seed) {
         }
       }
       const Bandwidth bw = Kbps(100) * rng.UniformInt(1, 30);
-      d.Add(lset, bw);
+      d.AddAll(lset, bw);
       registered.emplace_back(std::move(lset), bw);
     } else {
       const auto idx = rng.Index(registered.size());
-      d.Remove(registered[idx].first, registered[idx].second);
+      d.SubAll(registered[idx].first, registered[idx].second);
       registered.erase(registered.begin() +
                        static_cast<std::ptrdiff_t>(idx));
     }

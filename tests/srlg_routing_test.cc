@@ -74,6 +74,26 @@ TEST(SrlgVector, WideAndDenseStorageAgree) {
   EXPECT_EQ(dense.AdvertBytes(), wide.AdvertBytes());
 }
 
+/// A failed RemoveLset leaves the vector untouched at both storage widths:
+/// the groups decremented before the failing one are restored.
+TEST(SrlgVector, FailedRemoveLeavesStateUntouched) {
+  for (const int links : {100, lsdb::kWideLinkThreshold + 10}) {
+    lsdb::SrlgVector v(4, links);
+    v.AddLset(routing::LinkSet{0, 1}, DemoGroups);  // groups 0 and 1
+    const lsdb::SrlgVector snapshot = v;
+    // Group 2 (link 2) holds nothing; group 1 precedes it.
+    EXPECT_THROW(v.RemoveLset(routing::LinkSet{1, 2}, DemoGroups),
+                 CheckError);
+    EXPECT_EQ(v, snapshot) << links;
+    // Links 0 and 3 both map to group 0, which holds one incidence.
+    EXPECT_THROW(v.RemoveLset(routing::LinkSet{0, 1, 3}, DemoGroups),
+                 CheckError);
+    EXPECT_EQ(v, snapshot) << links;
+    v.RemoveLset(routing::LinkSet{0, 1}, DemoGroups);
+    EXPECT_EQ(v, lsdb::SrlgVector(4, links)) << links;
+  }
+}
+
 TEST(SrlgVector, DefaultIsEmptyAndEqual) {
   EXPECT_EQ(lsdb::SrlgVector(), lsdb::SrlgVector());
   EXPECT_EQ(lsdb::SrlgVector().num_srlgs(), 0);

@@ -8,9 +8,10 @@
 // for every --jobs value.
 //
 // Sweeps with --out keep a checkpoint journal (<out>.ckpt) beside the
-// results file, so a killed run restarts where it left off with
-// --resume, and --shard=i/N partitions the grid across uncoordinated
-// processes whose outputs tools/drtpmerge reassembles byte-identically.
+// results file when it is a regular file (not a device or pipe), so a
+// killed run restarts where it left off with --resume, and --shard=i/N
+// partitions the grid across uncoordinated processes whose outputs
+// tools/drtpmerge reassembles byte-identically.
 //
 // Examples:
 //   drtpsweep --fast --jobs=4
@@ -144,8 +145,8 @@ int main(int argc, char** argv) {
   auto& out = flags.String(
       "out", "",
       "write one JSON object per cell to this .jsonl file (truncates "
-      "unless --resume) and keep a checkpoint journal (<out>.ckpt) beside "
-      "it");
+      "unless --resume) and, when it is a regular file, keep a checkpoint "
+      "journal (<out>.ckpt) beside it");
   auto& resume = flags.Bool(
       "resume", false,
       "continue an interrupted sweep: verify <out>.ckpt against the "
@@ -246,21 +247,30 @@ int main(int argc, char** argv) {
     header.num_cells = spec.NumCells();
     header.shard = shard;
 
-    // Every --out sweep is checkpointed: the journal rides beside the
-    // sink and costs one extra line per cell, and it is what makes
-    // --resume and drtpmerge possible at all.
+    // Every --out sweep to a regular file is checkpointed: the journal
+    // rides beside the sink and costs one extra line per cell, and it is
+    // what makes --resume and drtpmerge possible at all.
     std::string sink_path;
     runner::RecoveredCheckpoint recovered;
     std::unique_ptr<runner::CheckpointJournal> journal;
     std::unique_ptr<runner::JsonlSink> jsonl;
     if (!out.empty()) {
       sink_path = runner::ShardedPath(out, shard);
+      const bool journaled =
+          runner::KeepsJournal(out) && runner::KeepsJournal(sink_path);
+      if ((resume || shard.num_shards > 1) && !journaled) {
+        std::fprintf(stderr,
+                     "drtpsweep: --resume and --shard need --out to be a "
+                     "regular file or a new path; '%s' is not\n",
+                     out.c_str());
+        return 2;
+      }
       if (resume) {
         recovered = runner::RecoverCheckpoint(sink_path, header);
         journal = std::make_unique<runner::CheckpointJournal>(
             runner::JournalPathFor(sink_path), /*append=*/!recovered.fresh);
         if (recovered.fresh) journal->WriteHeader(header);
-      } else {
+      } else if (journaled) {
         journal = std::make_unique<runner::CheckpointJournal>(
             runner::JournalPathFor(sink_path), /*append=*/false);
         journal->WriteHeader(header);
