@@ -7,6 +7,7 @@
 // seeding via random_device would).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -95,5 +96,13 @@ class Rng {
  private:
   std::mt19937_64 engine_;
 };
+
+/// Randomised exponential backoff (Banerjea's random delay): the wait
+/// before retry n + 1 is base · 2^n · U[0.5, 1.5), n = 0 for the first.
+/// One draw from `rng`; the jitter decorrelates retries after a burst.
+inline double JitteredBackoff(Rng& rng, double base, int n) {
+  const double jitter = rng.UniformReal(0.5, 1.5);
+  return base * std::ldexp(1.0, n) * jitter;
+}
 
 }  // namespace drtp

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "drtp/failure.h"
+
 namespace drtp::core {
 
 AdmitOutcome AdmitConnection(RoutingScheme& scheme, DrtpNetwork& net,
@@ -20,11 +22,8 @@ AdmitOutcome AdmitConnection(RoutingScheme& scheme, DrtpNetwork& net,
   }
   out.admitted = true;
 
-  // A "backup" covering every primary link (schemes shun rather than
-  // forbid primary links) protects nothing; admit unprotected instead of
-  // booking spare for vacuous coverage.
-  if (sel.backup.has_value() &&
-      sel.backup->OverlapCount(*sel.primary) >= sel.primary->hops()) {
+  // Admit unprotected rather than book spare for vacuous coverage.
+  if (sel.backup.has_value() && !Protects(*sel.backup, *sel.primary)) {
     sel.backup.reset();
   }
 

@@ -54,8 +54,8 @@ struct AdmitOutcome {
 /// Runs the full admission sequence for request `id` (src -> dst, bw):
 /// scheme.SelectRoutes against the advertised `db`, EstablishConnection
 /// (all-or-nothing; a down link or insufficient free bandwidth blocks),
-/// the vacuous-backup shun (a backup overlapping every primary link
-/// protects nothing and is dropped rather than booked), RegisterBackup,
+/// the vacuous-backup shun (a backup that fails Protects is dropped
+/// rather than booked), RegisterBackup,
 /// and — for num_backups > 1 — ProtectConnection. Does NOT publish to
 /// `db`; the caller owns advertisement cadence (the simulator publishes
 /// per event in instant mode, the daemon once per batch).

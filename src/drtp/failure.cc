@@ -365,14 +365,26 @@ SwitchoverReport ApplyLinkFailure(DrtpNetwork& net, LinkId failed, Time now,
   return ApplyLinkSetFailure(net, one, now, reroute, db);
 }
 
-SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
-                                     std::span<const LinkId> links, Time now,
-                                     RoutingScheme* reroute,
-                                     lsdb::LinkStateDb* db) {
-  DRTP_OBS_SPAN("drtp.kernel.apply_failure");
-  SwitchoverReport report;
-  // Expand duplex reverses and drop members already down: the correlated
-  // set is whatever actually transitions up->down at `now`.
+bool Protects(const routing::Path& backup, const routing::Path& primary) {
+  return backup.OverlapCount(primary) < primary.hops();
+}
+
+std::optional<int> Reprotect(DrtpNetwork& net, lsdb::LinkStateDb& db,
+                             RoutingScheme& scheme, ConnId id, Time now) {
+  const DrConnection* conn = net.Find(id);
+  DRTP_CHECK(conn != nullptr && !conn->has_backup());
+  net.PublishTo(db, now);
+  const auto backup =
+      scheme.SelectBackupFor(net, db, conn->primary, conn->bw);
+  if (!backup.has_value() || !Protects(*backup, conn->primary) ||
+      UsesAny(*backup, net.down_links())) {
+    return std::nullopt;
+  }
+  return net.RegisterBackup(id, *backup);
+}
+
+std::vector<LinkId> FailedLinkSet(const DrtpNetwork& net,
+                                  std::span<const LinkId> links) {
   std::vector<LinkId> failed_set;
   failed_set.reserve(links.size() * 2);
   for (LinkId l : links) {
@@ -387,6 +399,17 @@ SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
   std::sort(failed_set.begin(), failed_set.end());
   failed_set.erase(std::unique(failed_set.begin(), failed_set.end()),
                    failed_set.end());
+  return failed_set;
+}
+
+SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
+                                     std::span<const LinkId> links, Time now,
+                                     RoutingScheme* reroute,
+                                     lsdb::LinkStateDb* db) {
+  DRTP_OBS_SPAN("drtp.kernel.apply_failure");
+  SwitchoverReport report;
+  // The correlated set is whatever actually transitions up->down at `now`.
+  const std::vector<LinkId> failed_set = FailedLinkSet(net, links);
   if (failed_set.empty()) return report;
   for (LinkId l : failed_set) net.SetLinkDown(l);
   // Topology-derived caches (BF distance tables) must reflect the failure
@@ -470,7 +493,7 @@ SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
   }
 
   // Step 4, resource reconfiguration: re-protect every connection left
-  // without a backup.
+  // without a backup; one that finds none runs unprotected.
   if (reroute != nullptr && db != nullptr) {
     std::vector<ConnId> unprotected;
     for (ConnId id : report.recovered) unprotected.push_back(id);
@@ -479,18 +502,7 @@ SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
     for (ConnId id : unprotected) {
       const DrConnection* conn = net.Find(id);
       if (conn == nullptr || conn->has_backup()) continue;
-      net.PublishTo(*db, now);
-      auto backup =
-          reroute->SelectBackupFor(net, *db, conn->primary, conn->bw);
-      // Schemes shun rather than forbid primary links, so under scarcity
-      // the cheapest "backup" can be the promoted primary itself. Partial
-      // overlap is the usual penalized tradeoff, but a backup covering
-      // every primary link protects nothing — degrade instead and let the
-      // retry loop re-protect once a real alternative appears.
-      if (backup.has_value() &&
-          backup->OverlapCount(conn->primary) < conn->primary.hops() &&
-          !UsesAny(*backup, net.down_links())) {
-        net.RegisterBackup(id, *backup);
+      if (Reprotect(net, *db, *reroute, id, now).has_value()) {
         report.rerouted.push_back(id);
       }
     }
@@ -509,13 +521,6 @@ std::vector<LinkId> IncidentLinks(const net::Topology& topo, NodeId node) {
   incident.erase(std::unique(incident.begin(), incident.end()),
                  incident.end());
   return incident;
-}
-
-SwitchoverReport ApplyNodeFailure(DrtpNetwork& net, NodeId node, Time now,
-                                  RoutingScheme* reroute,
-                                  lsdb::LinkStateDb* db) {
-  return ApplyLinkSetFailure(net, IncidentLinks(net.topology(), node), now,
-                             reroute, db);
 }
 
 SwitchoverReport ApplySrlgFailure(DrtpNetwork& net, SrlgId srlg, Time now,

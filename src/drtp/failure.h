@@ -7,6 +7,7 @@
 // failure reporting, channel switching and resource reconfiguration.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,32 +79,45 @@ struct SwitchoverReport {
   std::vector<ConnId> rerouted;
 };
 
+/// Whether `backup` protects `primary` at all: it must leave at least one
+/// primary link uncovered. Schemes shun rather than forbid primary links,
+/// so under scarcity the cheapest "backup" can cover every primary link,
+/// and any primary failure then takes it down too. Partial overlap is the
+/// usual penalized tradeoff and passes.
+bool Protects(const routing::Path& backup, const routing::Path& primary);
+
+/// Step 4 of §2.2 (resource reconfiguration) for one unprotected
+/// connection `id`: publishes `net` to `db` at `now`, asks `scheme` for a
+/// backup of the primary, and registers it if it Protects the primary and
+/// crosses no down link. Returns RegisterBackup's overbooked hop count, or
+/// nullopt when nothing was registered — the connection then runs
+/// unprotected, and retrying later is the caller's policy.
+std::optional<int> Reprotect(DrtpNetwork& net, lsdb::LinkStateDb& db,
+                             RoutingScheme& scheme, ConnId id, Time now);
+
+/// The links failing `links` takes down: the members still up plus, under
+/// duplex_failures, their reverses still up; ascending, each once.
+std::vector<LinkId> FailedLinkSet(const DrtpNetwork& net,
+                                  std::span<const LinkId> links);
+
 /// Fails `failed` for real: marks it down, releases broken backups,
 /// switches affected primaries to their backups (dropping those that
-/// cannot activate), and — when `reroute` is non-null — re-establishes
-/// backups for every connection left unprotected, using routes from
-/// `reroute` against the refreshed advertisements in `db`.
+/// cannot activate), and — when `reroute` is non-null — runs Reprotect
+/// for every connection left unprotected, using routes from `reroute`
+/// against the refreshed advertisements in `db`.
 SwitchoverReport ApplyLinkFailure(DrtpNetwork& net, LinkId failed, Time now,
                                   RoutingScheme* reroute,
                                   lsdb::LinkStateDb* db);
 
-/// Fails every up link in `links` as ONE correlated event: the whole set
-/// goes down before any backup is released or promoted, so a connection
-/// crossing several failed links is switched exactly once and never onto a
-/// co-failed backup. Links already down are ignored; duplex reverses are
-/// included under duplex_failures. This is the primitive behind node and
-/// SRLG failures.
+/// Fails the FailedLinkSet of `links` as ONE correlated event: the whole
+/// set goes down before any backup is released or promoted, so a
+/// connection crossing several failed links is switched exactly once and
+/// never onto a co-failed backup. This is the primitive behind node
+/// (IncidentLinks) and SRLG (LinksInSrlg) failures.
 SwitchoverReport ApplyLinkSetFailure(DrtpNetwork& net,
                                      std::span<const LinkId> links, Time now,
                                      RoutingScheme* reroute,
                                      lsdb::LinkStateDb* db);
-
-/// Fails `node`: atomically takes down every incident link (both
-/// directions), dropping connections that terminate there and switching
-/// the rest.
-SwitchoverReport ApplyNodeFailure(DrtpNetwork& net, NodeId node, Time now,
-                                  RoutingScheme* reroute,
-                                  lsdb::LinkStateDb* db);
 
 /// Fails shared-risk group `srlg`: every member link goes down together.
 SwitchoverReport ApplySrlgFailure(DrtpNetwork& net, SrlgId srlg, Time now,

@@ -95,37 +95,13 @@ void ProtocolEngine::InjectLinkFailure(LinkId link, RecoveryMode mode) {
   InjectLinkSetFailure(one, mode);
 }
 
-void ProtocolEngine::InjectNodeFailure(NodeId node, RecoveryMode mode) {
-  InjectLinkSetFailure(core::IncidentLinks(net_.topology(), node), mode);
-}
-
-void ProtocolEngine::InjectSrlgFailure(SrlgId srlg, RecoveryMode mode) {
-  const auto members = net_.topology().LinksInSrlg(srlg);
-  InjectLinkSetFailure({members.data(), members.size()}, mode);
-}
-
 void ProtocolEngine::InjectLinkSetFailure(std::span<const LinkId> links,
                                           RecoveryMode mode) {
   const Time t0 = queue_.now();
-  // Expand duplex reverses and drop members already down, then take the
-  // whole set down before computing any affected set: a backup sharing a
-  // risk group with its primary must be seen dead at activation time.
-  std::vector<LinkId> failed_set;
-  failed_set.reserve(links.size() * 2);
-  for (const LinkId l : links) {
-    DRTP_CHECK(l >= 0 && l < net_.topology().num_links());
-    if (!net_.IsLinkUp(l)) continue;
-    failed_set.push_back(l);
-    if (net_.config().duplex_failures) {
-      const LinkId rev = net_.topology().link(l).reverse;
-      if (rev != kInvalidLink && net_.IsLinkUp(rev)) {
-        failed_set.push_back(rev);
-      }
-    }
-  }
-  std::sort(failed_set.begin(), failed_set.end());
-  failed_set.erase(std::unique(failed_set.begin(), failed_set.end()),
-                   failed_set.end());
+  // Take the whole set down before computing any affected set: a backup
+  // sharing a risk group with its primary must be seen dead at activation
+  // time.
+  const std::vector<LinkId> failed_set = core::FailedLinkSet(net_, links);
   if (failed_set.empty()) return;
   for (const LinkId l : failed_set) net_.SetLinkDown(l);
   if (scheme_ != nullptr) scheme_->OnTopologyChanged(net_);
@@ -252,13 +228,7 @@ void ProtocolEngine::ProactiveRecovery(ConnId id, Time failed_at,
     queue_.Schedule(resume, [this, id] {
       const core::DrConnection* conn = net_.Find(id);
       if (conn == nullptr || conn->has_backup()) return;
-      net_.PublishTo(*db_, queue_.now());
-      auto backup =
-          scheme_->SelectBackupFor(net_, *db_, conn->primary, conn->bw);
-      if (backup.has_value() &&
-          backup->OverlapCount(conn->primary) < conn->primary.hops() &&
-          !UsesAnyDown(net_, *backup)) {
-        net_.RegisterBackup(id, *backup);
+      if (core::Reprotect(net_, *db_, *scheme_, id, queue_.now())) {
         NotifyAction();
       } else {
         Degrade(id);
@@ -274,9 +244,9 @@ void ProtocolEngine::Degrade(ConnId id) {
     ++reprotect_exhausted_;
     return;
   }
-  const double jitter = rng_.UniformReal(0.5, 1.5);
-  queue_.Schedule(queue_.now() + config_.reprotect_backoff * jitter,
-                  [this, id] { ReprotectAttempt(id, 1); });
+  queue_.Schedule(
+      queue_.now() + JitteredBackoff(rng_, config_.reprotect_backoff, 0),
+      [this, id] { ReprotectAttempt(id, 1); });
 }
 
 void ProtocolEngine::ReprotectAttempt(ConnId id, int attempt) {
@@ -284,13 +254,7 @@ void ProtocolEngine::ReprotectAttempt(ConnId id, int attempt) {
   // Released, dropped, or re-protected by a later failure's step 4.
   if (conn == nullptr || conn->has_backup()) return;
   ++reprotect_retries_;
-  net_.PublishTo(*db_, queue_.now());
-  auto backup =
-      scheme_->SelectBackupFor(net_, *db_, conn->primary, conn->bw);
-  if (backup.has_value() &&
-      backup->OverlapCount(conn->primary) < conn->primary.hops() &&
-      !UsesAnyDown(net_, *backup)) {
-    net_.RegisterBackup(id, *backup);
+  if (core::Reprotect(net_, *db_, *scheme_, id, queue_.now())) {
     ++reprotect_recovered_;
     NotifyAction();
     return;
@@ -299,12 +263,9 @@ void ProtocolEngine::ReprotectAttempt(ConnId id, int attempt) {
     ++reprotect_exhausted_;
     return;
   }
-  const double jitter = rng_.UniformReal(0.5, 1.5);
-  const Time backoff =
-      config_.reprotect_backoff * (1 << attempt) * jitter;
-  queue_.Schedule(queue_.now() + backoff, [this, id, attempt] {
-    ReprotectAttempt(id, attempt + 1);
-  });
+  queue_.Schedule(
+      queue_.now() + JitteredBackoff(rng_, config_.reprotect_backoff, attempt),
+      [this, id, attempt] { ReprotectAttempt(id, attempt + 1); });
 }
 
 void ProtocolEngine::ReactiveRecovery(ConnId id, Time failed_at) {
@@ -337,14 +298,11 @@ void ProtocolEngine::ReactiveAttempt(ConnId id, NodeId src, NodeId dst,
                                            .retries = attempt});
       return;
     }
-    // Banerjea: random delay, exponential back-off per retry.
-    const double jitter = rng_.UniformReal(0.5, 1.5);
-    const Time backoff =
-        config_.reactive_backoff * (1 << attempt) * jitter;
-    queue_.Schedule(queue_.now() + backoff, [this, id, src, dst, bw,
-                                             failed_at, attempt] {
-      ReactiveAttempt(id, src, dst, bw, failed_at, attempt + 1);
-    });
+    queue_.Schedule(
+        queue_.now() + JitteredBackoff(rng_, config_.reactive_backoff, attempt),
+        [this, id, src, dst, bw, failed_at, attempt] {
+          ReactiveAttempt(id, src, dst, bw, failed_at, attempt + 1);
+        });
   };
   if (!sel.primary.has_value()) {
     give_up_or_retry();

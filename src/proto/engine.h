@@ -103,20 +103,13 @@ class ProtocolEngine {
   /// Recovery outcomes are appended to recoveries() as they complete.
   void InjectLinkFailure(LinkId link, RecoveryMode mode);
 
-  /// Correlated failure: every member of `links` (plus duplex reverses
-  /// when the network is configured for duplex failures) goes down at the
-  /// same instant, before any affected set is computed — a backup sharing
-  /// a risk group with the primary is found dead at activation time, not
-  /// after. Members already down are ignored.
+  /// Correlated failure: the core::FailedLinkSet of `links` goes down at
+  /// the same instant, before any affected set is computed — a backup
+  /// sharing a risk group with the primary is found dead at activation
+  /// time, not after. A node fails as its core::IncidentLinks, a risk
+  /// group as the topology's LinksInSrlg.
   void InjectLinkSetFailure(std::span<const LinkId> links,
                             RecoveryMode mode);
-
-  /// Node failure: atomically fails every link incident to `node`.
-  void InjectNodeFailure(NodeId node, RecoveryMode mode);
-
-  /// SRLG failure: atomically fails every link tagged with risk group
-  /// `srlg` in the topology.
-  void InjectSrlgFailure(SrlgId srlg, RecoveryMode mode);
 
   const std::vector<RecoveryRecord>& recoveries() const {
     return recoveries_;

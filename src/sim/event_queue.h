@@ -1,8 +1,10 @@
 // Discrete-event engine.
 //
 // A minimal, deterministic future-event list: events at equal times run in
-// scheduling order. The scenario replayer and the examples drive all state
-// changes through this queue.
+// scheduling order. The timed protocol engine (proto::ProtocolEngine) and
+// the examples drive their state changes through this queue. The scenario
+// replayer (sim::RunScenario) does not: it walks the scenario's
+// time-sorted events and keeps its own re-protection retry heap.
 #pragma once
 
 #include <algorithm>

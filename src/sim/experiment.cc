@@ -1,9 +1,9 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <cmath>
+#include <map>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -47,26 +47,80 @@ const SimCounters& Counters() {
   return counters;
 }
 
-std::string_view EventLabel(ScenarioEvent::Type type) {
+/// The trace record kind of a scenario event. Its TraceEventKindName is
+/// also the event's after_event label.
+obs::TraceEventKind TraceKindOf(ScenarioEvent::Type type) {
+  using K = obs::TraceEventKind;
   switch (type) {
     case ScenarioEvent::Type::kRequest:
-      return "request";
+      return K::kRequest;
     case ScenarioEvent::Type::kRelease:
-      return "release";
+      return K::kRelease;
     case ScenarioEvent::Type::kLinkFail:
-      return "link_fail";
+      return K::kLinkFail;
     case ScenarioEvent::Type::kLinkRepair:
-      return "link_repair";
+      return K::kLinkRepair;
     case ScenarioEvent::Type::kNodeFail:
-      return "node_fail";
+      return K::kNodeFail;
     case ScenarioEvent::Type::kNodeRepair:
-      return "node_repair";
+      return K::kNodeRepair;
     case ScenarioEvent::Type::kSrlgFail:
-      return "srlg_fail";
+      return K::kSrlgFail;
     case ScenarioEvent::Type::kSrlgRepair:
-      return "srlg_repair";
+      return K::kSrlgRepair;
   }
-  return "?";
+  return K::kRequest;
+}
+
+/// The network element a fault event names.
+enum class Element { kLink, kNode, kSrlg };
+
+/// A fault event as RunScenario enacts it: the element it fails or
+/// repairs, and the obs counter it bumps.
+struct Fault {
+  Element element;
+  std::int32_t id;  // link, node or group id
+  bool fail;        // false: a repair
+  obs::Counter SimCounters::*counter;
+};
+
+Fault FaultOf(const ScenarioEvent& e) {
+  using T = ScenarioEvent::Type;
+  switch (e.type) {
+    case T::kLinkFail:
+      return {Element::kLink, e.link, true, &SimCounters::link_fails};
+    case T::kLinkRepair:
+      return {Element::kLink, e.link, false, &SimCounters::link_repairs};
+    case T::kNodeFail:
+      return {Element::kNode, e.node, true, &SimCounters::node_fails};
+    case T::kNodeRepair:
+      return {Element::kNode, e.node, false, &SimCounters::node_repairs};
+    case T::kSrlgFail:
+      return {Element::kSrlg, e.srlg, true, &SimCounters::srlg_fails};
+    case T::kSrlgRepair:
+      return {Element::kSrlg, e.srlg, false, &SimCounters::srlg_repairs};
+    case T::kRequest:
+    case T::kRelease:
+      break;
+  }
+  DRTP_CHECK_MSG(false, "not a fault event");
+  return {};
+}
+
+/// The links `element` `id` spans: the link itself, a node's incident
+/// links, or a risk group's members.
+std::vector<LinkId> ElementLinks(const net::Topology& topo, Element element,
+                                 std::int32_t id) {
+  switch (element) {
+    case Element::kLink:
+      return {id};
+    case Element::kNode:
+      return core::IncidentLinks(topo, id);
+    case Element::kSrlg:
+      break;
+  }
+  const auto members = topo.LinksInSrlg(id);
+  return {members.begin(), members.end()};
 }
 
 }  // namespace
@@ -189,13 +243,12 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
   std::unordered_set<ConnId> degraded_pending;
 
   const auto schedule_retry = [&](ConnId id, int attempt, Time from) {
-    const double nominal =
-        config.reprotect_backoff * std::ldexp(1.0, attempt - 1);
-    retries.push_back(
-        Reprotect{.at = from + nominal * reprotect_rng.UniformReal(0.5, 1.5),
-                  .seq = retry_seq++,
-                  .conn = id,
-                  .attempt = attempt});
+    retries.push_back(Reprotect{
+        .at = from + JitteredBackoff(reprotect_rng, config.reprotect_backoff,
+                                     attempt - 1),
+        .seq = retry_seq++,
+        .conn = id,
+        .attempt = attempt});
     std::push_heap(retries.begin(), retries.end(), retry_after);
   };
 
@@ -208,22 +261,16 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     }
     ++m.reprotect_retries;
     Counters().reprotect_retries.Add();
-    net.PublishTo(db, r.at);
-    auto backup = scheme.SelectBackupFor(net, db, conn->primary, conn->bw);
-    const bool usable =
-        backup.has_value() &&
-        backup->OverlapCount(conn->primary) < conn->primary.hops() &&
-        std::all_of(backup->links().begin(), backup->links().end(),
-                    [&](LinkId l) { return net.IsLinkUp(l); });
-    if (usable) {
-      m.overbooked_hops += net.RegisterBackup(r.conn, *backup);
+    if (const auto overbooked =
+            core::Reprotect(net, db, scheme, r.conn, r.at)) {
+      m.overbooked_hops += *overbooked;
       ++m.reprotect_recovered;
       Counters().reprotects.Add();
       degraded_pending.erase(r.conn);
       if (config.trace != nullptr) {
         obs::TraceEvent ev = stamp(r.at, obs::TraceEventKind::kReestablish);
         ev.conn = r.conn;
-        with_backup(ev, *backup);
+        with_backup(ev, *net.Find(r.conn)->first_backup());
         config.trace->Write(ev);
       }
     } else if (r.attempt < config.reprotect_max_retries) {
@@ -328,14 +375,15 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     if (instant) net.PublishTo(db, t);
   };
 
-  // Links taken down by an enacted node / SRLG failure, so the matching
-  // repair restores exactly that set (members already down beforehand —
-  // e.g. from an overlapping link failure — keep their own repair event).
-  std::unordered_map<NodeId, std::vector<LinkId>> node_downed;
-  std::unordered_map<SrlgId, std::vector<LinkId>> srlg_downed;
+  // Links taken down by an enacted node / SRLG failure, keyed by element
+  // and id, so the matching repair restores exactly that set (members
+  // already down beforehand — e.g. from an overlapping link failure — keep
+  // their own repair event). A link repair restores its link
+  // unconditionally.
+  std::map<std::pair<Element, std::int32_t>, std::vector<LinkId>> downed;
 
   // Restores whichever of `links` are still down; true if any came up.
-  const auto repair_links = [&](const std::vector<LinkId>& links) {
+  const auto repair_links = [&](std::span<const LinkId> links) {
     bool any = false;
     for (const LinkId l : links) {
       if (!net.IsLinkUp(l)) {
@@ -346,14 +394,13 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     return any;
   };
 
-  for (const ScenarioEvent& e : scenario.events) {
-    maybe_inspect(e.time);
-    // Interleave P_bk samples and due re-protection retries in time order
-    // up to this event.
+  // Interleaves P_bk samples and due re-protection retries in time order
+  // up to `t`.
+  const auto run_due = [&](Time t) {
     while (true) {
       const Time ts = next_sample <= duration ? next_sample : kTimeInfinity;
       const Time tr = retries.empty() ? kTimeInfinity : retries.front().at;
-      if (ts > e.time && tr > e.time) break;
+      if (ts > t && tr > t) break;
       if (tr <= ts) {
         std::pop_heap(retries.begin(), retries.end(), retry_after);
         const Reprotect r = retries.back();
@@ -364,6 +411,11 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         next_sample += config.sample_interval;
       }
     }
+  };
+
+  for (const ScenarioEvent& e : scenario.events) {
+    maybe_inspect(e.time);
+    run_due(e.time);
     while (next_refresh <= e.time) {
       // The periodic refresh is a full re-advertisement by construction
       // (the paper's refresh cycle re-floods everything), and doubles as
@@ -445,131 +497,58 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
         }
         if (instant) net.PublishTo(db, e.time);
       }
-    } else if (e.type == ScenarioEvent::Type::kLinkFail) {
-      if (net.IsLinkUp(e.link)) {
-        ++m.failures_enacted;
-        event_report =
-            core::ApplyLinkFailure(net, e.link, e.time, reroute, &db);
-        Counters().link_fails.Add();
-        if (config.trace != nullptr) {
-          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kLinkFail);
-          ev.link = e.link;
-          with_impact(ev, *event_report);
-          config.trace->Write(ev);
+    } else {
+      // A link, node or SRLG fault; scenario.Validate range-checked its id.
+      const Fault fault = FaultOf(e);
+      const auto trace_fault = [&](const core::SwitchoverReport* report) {
+        obs::TraceEvent ev = stamp(e.time, TraceKindOf(e.type));
+        switch (fault.element) {
+          case Element::kLink: ev.link = fault.id; break;
+          case Element::kNode: ev.node = fault.id; break;
+          case Element::kSrlg: ev.srlg = fault.id; break;
         }
-        fanout_failure(e.time, *event_report);
-      }
-    } else if (e.type == ScenarioEvent::Type::kLinkRepair) {
-      if (!net.IsLinkUp(e.link)) {
-        net.SetLinkUp(e.link);
-        Counters().link_repairs.Add();
-        scheme.OnTopologyChanged(net);
-        if (config.trace != nullptr) {
-          obs::TraceEvent ev =
-              stamp(e.time, obs::TraceEventKind::kLinkRepair);
-          ev.link = e.link;
-          config.trace->Write(ev);
-        }
-        if (instant) net.PublishTo(db, e.time);
-      }
-    } else if (e.type == ScenarioEvent::Type::kNodeFail) {
-      // Range-checked by scenario.Validate above.
-      std::vector<LinkId> taking_down;
-      for (const LinkId l : core::IncidentLinks(topo, e.node)) {
-        if (net.IsLinkUp(l)) taking_down.push_back(l);
-      }
-      if (!taking_down.empty()) {
-        ++m.failures_enacted;
-        event_report = core::ApplyLinkSetFailure(net, taking_down, e.time,
-                                                 reroute, &db);
-        node_downed[e.node] = std::move(taking_down);
-        Counters().node_fails.Add();
-        if (config.trace != nullptr) {
-          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kNodeFail);
-          ev.node = e.node;
-          with_impact(ev, *event_report);
-          config.trace->Write(ev);
-        }
-        fanout_failure(e.time, *event_report);
-      }
-    } else if (e.type == ScenarioEvent::Type::kNodeRepair) {
-      const auto it = node_downed.find(e.node);
-      if (it != node_downed.end()) {
-        const bool any = repair_links(it->second);
-        node_downed.erase(it);
-        if (any) {
-          Counters().node_repairs.Add();
-          scheme.OnTopologyChanged(net);
-          if (config.trace != nullptr) {
-            obs::TraceEvent ev =
-                stamp(e.time, obs::TraceEventKind::kNodeRepair);
-            ev.node = e.node;
-            config.trace->Write(ev);
+        if (report != nullptr) with_impact(ev, *report);
+        config.trace->Write(ev);
+      };
+      if (fault.fail) {
+        std::vector<LinkId> taking_down = core::FailedLinkSet(
+            net, ElementLinks(topo, fault.element, fault.id));
+        if (!taking_down.empty()) {
+          ++m.failures_enacted;
+          event_report = core::ApplyLinkSetFailure(net, taking_down, e.time,
+                                                   reroute, &db);
+          (Counters().*fault.counter).Add();
+          if (config.trace != nullptr) trace_fault(&*event_report);
+          fanout_failure(e.time, *event_report);
+          if (fault.element != Element::kLink) {
+            downed[{fault.element, fault.id}] = std::move(taking_down);
           }
-          if (instant) net.PublishTo(db, e.time);
         }
-      }
-    } else if (e.type == ScenarioEvent::Type::kSrlgFail) {
-      // Range-checked by scenario.Validate above.
-      std::vector<LinkId> taking_down;
-      for (const LinkId l : topo.LinksInSrlg(e.srlg)) {
-        if (net.IsLinkUp(l)) taking_down.push_back(l);
-      }
-      if (!taking_down.empty()) {
-        ++m.failures_enacted;
-        event_report = core::ApplyLinkSetFailure(net, taking_down, e.time,
-                                                 reroute, &db);
-        srlg_downed[e.srlg] = std::move(taking_down);
-        Counters().srlg_fails.Add();
-        if (config.trace != nullptr) {
-          obs::TraceEvent ev = stamp(e.time, obs::TraceEventKind::kSrlgFail);
-          ev.srlg = e.srlg;
-          with_impact(ev, *event_report);
-          config.trace->Write(ev);
+      } else {
+        std::vector<LinkId> restoring;
+        if (fault.element == Element::kLink) {
+          restoring = {fault.id};
+        } else if (auto entry = downed.extract({fault.element, fault.id})) {
+          restoring = std::move(entry.mapped());
         }
-        fanout_failure(e.time, *event_report);
-      }
-    } else {  // kSrlgRepair
-      const auto it = srlg_downed.find(e.srlg);
-      if (it != srlg_downed.end()) {
-        const bool any = repair_links(it->second);
-        srlg_downed.erase(it);
-        if (any) {
-          Counters().srlg_repairs.Add();
+        if (repair_links(restoring)) {
+          (Counters().*fault.counter).Add();
           scheme.OnTopologyChanged(net);
-          if (config.trace != nullptr) {
-            obs::TraceEvent ev =
-                stamp(e.time, obs::TraceEventKind::kSrlgRepair);
-            ev.srlg = e.srlg;
-            config.trace->Write(ev);
-          }
+          if (config.trace != nullptr) trace_fault(nullptr);
           if (instant) net.PublishTo(db, e.time);
         }
       }
     }
 
     if (config.after_event) {
-      config.after_event(net, e.time, EventLabel(e.type),
+      config.after_event(net, e.time,
+                         obs::TraceEventKindName(TraceKindOf(e.type)),
                          event_report.has_value() ? &*event_report
                                                   : nullptr);
     }
   }
-  // Drain trailing samples and any retries scheduled before the horizon,
-  // still in time order.
-  while (true) {
-    const Time ts = next_sample <= duration ? next_sample : kTimeInfinity;
-    const Time tr = retries.empty() ? kTimeInfinity : retries.front().at;
-    if (ts > duration && tr > duration) break;
-    if (tr <= ts) {
-      std::pop_heap(retries.begin(), retries.end(), retry_after);
-      const Reprotect r = retries.back();
-      retries.pop_back();
-      handle_retry(r);
-    } else {
-      sample(next_sample);
-      next_sample += config.sample_interval;
-    }
-  }
+  // Drain trailing samples and any retries scheduled before the horizon.
+  run_due(duration);
   if (!window.started()) window.Set(config.warmup, active_count);
   m.avg_active = window.Average(duration);
   if (config.after_event) {

@@ -308,16 +308,13 @@ std::string Engine::DoFailLink(const Request& req) {
   for (const ConnId c : report.rerouted) {
     Flight().Record(obs::FlightKind::kReprotect, c);
   }
-  for (const ConnId c : report.recovered) {
-    const core::DrConnection* conn = net_.Find(c);
-    if (conn != nullptr && !conn->has_backup()) {
-      Flight().Record(obs::FlightKind::kDegrade, c);
-    }
-  }
-  for (const ConnId c : report.backups_lost) {
-    const core::DrConnection* conn = net_.Find(c);
-    if (conn != nullptr && !conn->has_backup()) {
-      Flight().Record(obs::FlightKind::kDegrade, c);
+  for (const std::vector<ConnId>* ids :
+       {&report.recovered, &report.backups_lost}) {
+    for (const ConnId c : *ids) {
+      const core::DrConnection* conn = net_.Find(c);
+      if (conn != nullptr && !conn->has_backup()) {
+        Flight().Record(obs::FlightKind::kDegrade, c);
+      }
     }
   }
   if (auditor_ != nullptr) {

@@ -22,16 +22,17 @@
 #include "runner/checkpoint.h"
 #include "runner/sink.h"
 #include "runner/sweep.h"
+#include "scratch_dir.h"
 
 namespace drtp::runner {
 namespace {
 
 namespace fs = std::filesystem;
 
-// Fresh per-test scratch directory under the system temp dir.
+// Fresh per-test scratch directory under this process's own.
 std::string TestDir() {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  fs::path dir = fs::temp_directory_path() / "drtp_checkpoint_test" /
+  fs::path dir = test::ProcessScratchDir() /
                  (std::string(info->test_suite_name()) + "." + info->name());
   fs::remove_all(dir);
   fs::create_directories(dir);

@@ -95,6 +95,33 @@ TEST(Rng, IndexRejectsEmpty) {
   EXPECT_THROW(rng.Index(0), CheckError);
 }
 
+TEST(Rng, JitteredBackoffMatchesTheRetryFormulas) {
+  // Bit for bit, over the same draws: the simulator's re-protect delay
+  // (base · ldexp(1, attempt − 1) · U) and the protocol engine's
+  // re-protect and reactive delays (base · U first, then
+  // base · (1 << n) · U).
+  const double base = 0.1;
+  Rng helper(2024);
+  Rng sim(2024);
+  Rng proto(2024);
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    const double delay = JitteredBackoff(helper, base, attempt - 1);
+    const double nominal = base * std::ldexp(1.0, attempt - 1);
+    EXPECT_EQ(delay, nominal * sim.UniformReal(0.5, 1.5)) << attempt;
+    const double jitter = proto.UniformReal(0.5, 1.5);
+    EXPECT_EQ(delay, attempt == 1 ? base * jitter
+                                  : base * (1 << (attempt - 1)) * jitter)
+        << attempt;
+  }
+  // Every delay lies in [base · 2^n / 2, base · 2^n · 3/2).
+  Rng bounded(7);
+  for (int n = 0; n < 8; ++n) {
+    const double delay = JitteredBackoff(bounded, base, n);
+    EXPECT_GE(delay, base * std::ldexp(0.5, n));
+    EXPECT_LT(delay, base * std::ldexp(1.5, n));
+  }
+}
+
 // ---- stats -------------------------------------------------------------
 
 TEST(RunningStat, EmptyIsZero) {

@@ -28,6 +28,7 @@
 #include "svc/rpc.h"
 #include "svc/snapshot.h"
 #include "svc/wal.h"
+#include "scratch_dir.h"
 
 namespace drtp {
 namespace {
@@ -156,7 +157,7 @@ class DurabilityTest : public ::testing::Test {
             net::WaxmanConfig{.nodes = 20, .avg_degree = 4.0, .seed = 3})) {
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    base_ = ::testing::TempDir() + "durability_" + info->name();
+    base_ = (test::ProcessScratchDir() / info->name()).string();
     wal_path_ = base_ + ".wal";
     snap_path_ = base_ + ".snap";
     std::remove(wal_path_.c_str());

@@ -12,6 +12,7 @@
 #include "drtp/network.h"
 #include "net/generators.h"
 #include "oracle/failure_scan.h"
+#include "svc/engine.h"
 
 namespace drtp::core {
 namespace {
@@ -208,6 +209,86 @@ TEST(Switchover, ReroutesBrokenBackupWhenSchemeProvided) {
   const DrConnection* conn = net.Find(1);
   ASSERT_TRUE(conn->has_backup());
   EXPECT_FALSE(conn->backups.front().Contains(net.topology().FindLink(3, 4)));
+  net.CheckConsistency();
+}
+
+/// Offers the same backup route for any primary: step 4's only candidate.
+class FixedBackup : public RoutingScheme {
+ public:
+  explicit FixedBackup(routing::Path backup) : backup_(std::move(backup)) {}
+  std::string name() const override { return "fixed-backup"; }
+  RouteSelection SelectRoutes(const DrtpNetwork&, const lsdb::LinkStateDb&,
+                              NodeId, NodeId, Bandwidth) override {
+    return {};
+  }
+  std::optional<routing::Path> SelectBackupFor(
+      const DrtpNetwork&, const lsdb::LinkStateDb&, const routing::Path&,
+      Bandwidth, std::span<const routing::Path>) override {
+    return backup_;
+  }
+
+ private:
+  routing::Path backup_;
+};
+
+TEST(Protects, OnlyAFullCoverProtectsNothing) {
+  const net::Topology topo = net::MakeGrid(3, 3, Mbps(4));
+  const routing::Path primary = NodePath(topo, {0, 1, 2});
+  EXPECT_FALSE(Protects(primary, primary));
+  EXPECT_TRUE(Protects(NodePath(topo, {0, 1, 4, 5, 2}), primary));
+  EXPECT_TRUE(Protects(NodePath(topo, {0, 3, 4, 5, 2}), primary));
+}
+
+TEST(Reprotect, RegistersAndReturnsTheOverbookedHops) {
+  // 3->4 carries a full primary, so the backup's spare slot there cannot
+  // be reserved and RegisterBackup reports one overbooked hop.
+  const auto load = [](DrtpNetwork& net) {
+    ASSERT_TRUE(net.EstablishConnection(
+        1, NodePath(net.topology(), {0, 1, 2}), Mbps(1), 0.0));
+    ASSERT_TRUE(net.EstablishConnection(
+        2, NodePath(net.topology(), {3, 4}), Mbps(4), 0.0));
+  };
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(4)));
+  DrtpNetwork twin(net::MakeGrid(3, 3, Mbps(4)));
+  load(net);
+  load(twin);
+  const routing::Path backup = NodePath(net.topology(), {0, 3, 4, 5, 2});
+  const int overbooked = twin.RegisterBackup(1, backup);
+  ASSERT_GT(overbooked, 0);
+
+  lsdb::LinkStateDb db(net.topology().num_links(), net.topology().num_links());
+  FixedBackup scheme(backup);
+  EXPECT_EQ(Reprotect(net, db, scheme, 1, 1.0), overbooked);
+  ASSERT_TRUE(net.Find(1)->has_backup());
+  EXPECT_EQ(*net.Find(1)->first_backup(), backup);
+  EXPECT_EQ(svc::NetworkStateDigest(net), svc::NetworkStateDigest(twin));
+  net.CheckConsistency();
+}
+
+TEST(Reprotect, RefusesABackupCoveringEveryPrimaryLink) {
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(4)));
+  const routing::Path primary = NodePath(net.topology(), {0, 1, 2});
+  ASSERT_TRUE(net.EstablishConnection(1, primary, Mbps(1), 0.0));
+  lsdb::LinkStateDb db(net.topology().num_links(), net.topology().num_links());
+  FixedBackup scheme(primary);
+  const std::uint64_t before = svc::NetworkStateDigest(net);
+  EXPECT_EQ(Reprotect(net, db, scheme, 1, 1.0), std::nullopt);
+  EXPECT_FALSE(net.Find(1)->has_backup());
+  EXPECT_EQ(svc::NetworkStateDigest(net), before);
+  net.CheckConsistency();
+}
+
+TEST(Reprotect, RefusesABackupOverADownLink) {
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(4)));
+  ASSERT_TRUE(net.EstablishConnection(1, NodePath(net.topology(), {0, 1, 2}),
+                                      Mbps(1), 0.0));
+  net.SetLinkDown(net.topology().FindLink(4, 5));
+  lsdb::LinkStateDb db(net.topology().num_links(), net.topology().num_links());
+  FixedBackup scheme(NodePath(net.topology(), {0, 3, 4, 5, 2}));
+  const std::uint64_t before = svc::NetworkStateDigest(net);
+  EXPECT_EQ(Reprotect(net, db, scheme, 1, 1.0), std::nullopt);
+  EXPECT_FALSE(net.Find(1)->has_backup());
+  EXPECT_EQ(svc::NetworkStateDigest(net), before);
   net.CheckConsistency();
 }
 

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "drtp/baselines.h"
 #include "drtp/dlsr.h"
+#include "drtp/failure.h"
 #include "net/generators.h"
 #include "proto/engine.h"
 
@@ -243,6 +244,40 @@ TEST(ProtoFailure, BrokenBackupsWithdrawnOnDetection) {
   EXPECT_EQ(h.engine.reprotect_recovered(), 1);
   ASSERT_TRUE(conn->has_backup());
   EXPECT_FALSE(conn->first_backup()->Contains(dead));
+  h.net.CheckConsistency();
+}
+
+TEST(ProtoFailure, NodeFailureDropsEndpointsAndSwitchesTransit) {
+  // A node fails as the set of its incident links: connection 1 ends at
+  // node 4 (so does its backup) and drops; connection 2 only crosses it
+  // and switches to its backup around the node.
+  Harness h(net::MakeGrid(3, 3, Mbps(10)));
+  const net::Topology& topo = h.net.topology();
+  h.engine.SetupConnection(1, NodePath(topo, {3, 4}),
+                           NodePath(topo, {3, 0, 1, 4}), Mbps(1),
+                           [](ConnId, bool) {});
+  h.engine.SetupConnection(2, NodePath(topo, {3, 4, 5}),
+                           NodePath(topo, {3, 6, 7, 8, 5}), Mbps(1),
+                           [](ConnId, bool) {});
+  h.queue.RunAll();
+  ASSERT_TRUE(h.net.Find(1)->has_backup());
+  ASSERT_TRUE(h.net.Find(2)->has_backup());
+  h.queue.Schedule(1.0, [&] {
+    h.engine.InjectLinkSetFailure(core::IncidentLinks(topo, 4),
+                                  RecoveryMode::kProactive);
+  });
+  h.queue.RunAll();
+  for (const LinkId l : core::IncidentLinks(topo, 4)) {
+    EXPECT_FALSE(h.net.IsLinkUp(l)) << l;
+  }
+  EXPECT_EQ(h.net.Find(1), nullptr);
+  const core::DrConnection* transit = h.net.Find(2);
+  ASSERT_NE(transit, nullptr);
+  EXPECT_EQ(transit->primary, NodePath(topo, {3, 6, 7, 8, 5}));
+  ASSERT_EQ(h.engine.recoveries().size(), 2u);
+  for (const RecoveryRecord& r : h.engine.recoveries()) {
+    EXPECT_EQ(r.success, r.conn == 2) << r.conn;
+  }
   h.net.CheckConsistency();
 }
 
