@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace drtp::core {
@@ -80,31 +81,38 @@ void CollectAffectedPrimaries(const DrtpNetwork& net,
   }
 }
 
-/// Flat image of what the what-if evaluation reads from the connection
-/// table, filled by one ordered pass and reused between calls. Each
-/// connection is a slot (slots ascend with connection id); each backup a
-/// record holding its links, an all-links-up flag and its LinkDemands.
-/// The link → slot CSR lists, per link, the slots whose primary crosses
-/// it, ascending — the contention order.
+/// Flat image of what the contention walk reads from the connection
+/// table, reused between calls. Each connection is a slot (slots ascend
+/// with connection id); each backup a record holding its links, an
+/// all-links-up flag and its LinkDemands. The link → slot CSR lists, per
+/// imaged link, the slots whose primary crosses it, ascending — the
+/// contention order.
 class FailureImage {
  public:
-  /// Images every connection of `net`, with the CSR.
-  void BuildAll(const DrtpNetwork& net) {
+  /// Images, in one ordered pass over the connection table, every
+  /// connection whose primary crosses a link `on(l)` holds for, with the
+  /// CSR of those links.
+  template <typename OnFn>
+  void BuildOn(const DrtpNetwork& net, OnFn&& on) {
     Reset(net);
     const auto num_links = static_cast<std::size_t>(net.topology().num_links());
     bucket_begin_.assign(num_links + 1, 0);
     for (std::size_t l = 0; l < num_links; ++l) {
+      const auto link = static_cast<LinkId>(l);
       bucket_begin_[l + 1] =
           bucket_begin_[l] +
-          static_cast<std::uint32_t>(
-              net.PrimaryConnsOn(static_cast<LinkId>(l)).size());
+          (on(link) ? static_cast<std::uint32_t>(
+                          net.PrimaryConnsOn(link).size())
+                    : 0);
     }
     bucket_slots_.resize(bucket_begin_[num_links]);
     cursor_.assign(bucket_begin_.begin(), bucket_begin_.end() - 1);
     for (const auto& [id, conn] : net.connections()) {
+      const auto& lset = conn.primary_lset;
+      if (std::none_of(lset.begin(), lset.end(), on)) continue;
       const std::uint32_t slot = Append(net, conn);
-      for (LinkId l : conn.primary_lset) {
-        bucket_slots_[cursor_[static_cast<std::size_t>(l)]++] = slot;
+      for (LinkId l : lset) {
+        if (on(l)) bucket_slots_[cursor_[static_cast<std::size_t>(l)]++] = slot;
       }
     }
     for (std::size_t l = 0; l < num_links; ++l) {
@@ -125,7 +133,8 @@ class FailureImage {
     return merged_;
   }
 
-  /// Slots whose primary crosses any link of `failed_set`, ascending.
+  /// Slots whose primary crosses any link of `failed_set`, ascending;
+  /// every link of the set must have been imaged by BuildOn.
   std::span<const std::uint32_t> SlotsOn(std::span<const LinkId> failed_set) {
     if (failed_set.size() == 1) return Bucket(failed_set[0]);
     DRTP_DCHECK(failed_set.size() == 2);
@@ -317,6 +326,204 @@ FailureImpact EvaluateAffected(const DrtpNetwork& net, LinkId failed,
   return image.Evaluate(image.BuildFor(net, affected), failed_set, detail);
 }
 
+/// Verdict on one failed set of a sweep.
+struct SetVerdict {
+  /// Connections whose primary the set disables.
+  int attempts = 0;
+  /// Of those, how many activate a backup.
+  int activated = 0;
+  /// The shortcut could not decide the set; `activated` is the walk's.
+  bool contended = false;
+};
+
+/// The sweep's exact shortcut past the contention walk (docs/PERF.md,
+/// "What-if failure sweep"). For a failed set F, an affected connection's
+/// candidate b* is its first backup that has every link up and avoids F:
+/// the walk rejects every earlier backup in any order. If every link l of
+/// b* has pool(l) = spare + free ≥ Σ_{f∈F} demand_l[f], b* fits in any
+/// order, because that sum bounds all of F's activations that can land on
+/// l and primary releases only add to the pool. A set whose every
+/// affected connection passes is decided here (attempts = affected,
+/// activated = those with a b*); any other set is contended.
+///
+/// One ordered pass over the connection table classifies every
+/// (connection, failed set) pair. A set is keyed by the link the sweep
+/// evaluates it at, its lower half under duplex_failures. A link is safe
+/// when its pool covers |F| × demand_l.Max() for the largest failed set,
+/// which bounds every set's sum; demand_l[f] is read only on the others.
+class SweepClassifier {
+ public:
+  void Run(const DrtpNetwork& net) {
+    Prepare(net);
+    for (const auto& [id, conn] : net.connections()) Classify(net, conn);
+  }
+
+  /// Key of the evaluated failed set containing `l`; kInvalidLink when
+  /// the sweep evaluates none (`l`, or under duplex_failures the pair's
+  /// lower half, is down).
+  LinkId set_of(LinkId l) const { return set_of_[At(l)]; }
+  SetVerdict& verdict(LinkId key) { return verdict_[At(key)]; }
+  int num_contended() const { return num_contended_; }
+
+ private:
+  /// A backup with every link up, as the classification sees it.
+  struct Candidate {
+    const routing::Path* path = nullptr;
+    /// Crosses one of the connection's failed sets.
+    bool crosses = false;
+    /// Its links that are not safe: unsafe_[unsafe_begin, unsafe_end).
+    std::uint32_t unsafe_begin = 0;
+    std::uint32_t unsafe_end = 0;
+  };
+
+  static std::size_t At(LinkId l) { return static_cast<std::size_t>(l); }
+
+  void Prepare(const DrtpNetwork& net) {
+    const net::Topology& topo = net.topology();
+    const auto num_links = static_cast<std::size_t>(topo.num_links());
+    duplex_ = net.config().duplex_failures;
+    all_links_up_ = net.down_links().empty();
+    set_of_.assign(num_links, kInvalidLink);
+    verdict_.assign(num_links, {});
+    mark_.assign(num_links, 0);
+    serial_ = 0;
+    num_contended_ = 0;
+    pool_.resize(num_links);
+    safe_.resize(num_links);
+    const Bandwidth most_failed = duplex_ ? 2 : 1;
+    for (LinkId l = 0; l < topo.num_links(); ++l) {
+      pool_[At(l)] = net.ledger().spare(l) + net.ledger().free(l);
+      safe_[At(l)] = pool_[At(l)] >= most_failed * net.demand(l).Max();
+      if (!net.IsLinkUp(l)) continue;
+      const LinkId rev = duplex_ ? topo.link(l).reverse : kInvalidLink;
+      if (rev != kInvalidLink && rev < l) continue;
+      set_of_[At(l)] = l;
+      if (rev != kInvalidLink) set_of_[At(rev)] = l;
+    }
+  }
+
+  void Classify(const DrtpNetwork& net, const DrConnection& conn) {
+    keys_.clear();
+    for (const LinkId f : conn.primary_lset) {
+      const LinkId key = set_of_[At(f)];
+      if (key != kInvalidLink) keys_.push_back(key);
+    }
+    if (keys_.empty()) return;
+    if (duplex_) {  // both halves of a pair share one key
+      std::sort(keys_.begin(), keys_.end());
+      keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+    }
+    ++serial_;
+    for (const LinkId key : keys_) mark_[At(key)] = serial_;
+    candidates_.clear();
+    unsafe_.clear();
+    for (const routing::Path& backup : conn.backups) {
+      Candidate c{.path = &backup,
+                  .unsafe_begin = static_cast<std::uint32_t>(unsafe_.size())};
+      bool up = true;
+      for (const LinkId l : backup.links()) {
+        if (!all_links_up_ && !net.IsLinkUp(l)) {
+          up = false;
+          break;
+        }
+        const LinkId key = set_of_[At(l)];
+        c.crosses = c.crosses ||
+                    (key != kInvalidLink && mark_[At(key)] == serial_);
+        if (!safe_[At(l)]) unsafe_.push_back(l);
+      }
+      if (!up) {
+        unsafe_.resize(c.unsafe_begin);
+        continue;
+      }
+      c.unsafe_end = static_cast<std::uint32_t>(unsafe_.size());
+      candidates_.push_back(c);
+    }
+    for (const LinkId key : keys_) {
+      SetVerdict& v = verdict_[At(key)];
+      ++v.attempts;
+      const auto star = std::find_if(
+          candidates_.begin(), candidates_.end(), [&](const Candidate& c) {
+            return !c.crosses || !Crosses(*c.path, key);
+          });
+      if (star == candidates_.end()) continue;  // dropped in any order
+      ++v.activated;
+      if (!v.contended && !Covers(net, *star, key)) {
+        v.contended = true;
+        ++num_contended_;
+      }
+    }
+  }
+
+  /// Whether `path` crosses the failed set keyed `key`.
+  bool Crosses(const routing::Path& path, LinkId key) const {
+    const auto links = path.links();
+    return std::any_of(links.begin(), links.end(),
+                       [&](LinkId l) { return set_of_[At(l)] == key; });
+  }
+
+  /// Whether every link of `c` has pool ≥ Σ_{f∈F} demand_l[f] for the
+  /// failed set F keyed `key`; only its unsafe links need the sum.
+  bool Covers(const DrtpNetwork& net, const Candidate& c, LinkId key) const {
+    if (c.unsafe_begin == c.unsafe_end) return true;
+    const LinkId rev =
+        duplex_ ? net.topology().link(key).reverse : kInvalidLink;
+    for (std::uint32_t i = c.unsafe_begin; i < c.unsafe_end; ++i) {
+      const LinkId l = unsafe_[i];
+      const DemandVector& demand = net.demand(l);
+      Bandwidth activations = demand.at(key);
+      if (rev != kInvalidLink) activations += demand.at(rev);
+      if (pool_[At(l)] < activations) return false;
+    }
+    return true;
+  }
+
+  bool duplex_ = false;
+  bool all_links_up_ = true;
+  // Per link.
+  std::vector<LinkId> set_of_;
+  std::vector<Bandwidth> pool_;
+  std::vector<char> safe_;
+  // Per key.
+  std::vector<SetVerdict> verdict_;
+  int num_contended_ = 0;
+  /// serial_ of the last connection whose primary the set disables.
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t serial_ = 0;
+  // Per connection.
+  std::vector<LinkId> keys_;
+  std::vector<Candidate> candidates_;
+  std::vector<LinkId> unsafe_;
+};
+
+/// Replaces every contended set's activated count by the contention
+/// walk's, over one image of just the contended sets' connections.
+void WalkContended(const DrtpNetwork& net, SweepClassifier& sweep) {
+  if (sweep.num_contended() == 0) return;
+  FailureImage& image = Image();
+  image.BuildOn(net, [&](LinkId l) {
+    const LinkId key = sweep.set_of(l);
+    return key != kInvalidLink && sweep.verdict(key).contended;
+  });
+  const LinkId num_links = net.topology().num_links();
+  LinkId storage[2];
+  for (LinkId key = 0; key < num_links; ++key) {
+    SetVerdict& v = sweep.verdict(key);
+    if (sweep.set_of(key) != key || !v.contended) continue;
+    const std::span<const LinkId> failed_set = FailedSet(net, key, storage);
+    const FailureImpact impact =
+        image.Evaluate(image.SlotsOn(failed_set), failed_set, nullptr);
+    DRTP_DCHECK(impact.attempts == v.attempts);
+    v.activated = impact.activated;
+  }
+}
+
+/// One classifier per thread: the sweep runner evaluates scenarios on a
+/// pool.
+SweepClassifier& Classifier() {
+  thread_local SweepClassifier classifier;
+  return classifier;
+}
+
 }  // namespace
 
 FailureImpact EvaluateLinkFailure(const DrtpNetwork& net, LinkId failed) {
@@ -331,30 +538,54 @@ FailureImpactDetail EvaluateLinkFailureDetailed(const DrtpNetwork& net,
 }
 
 Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net,
-                                    std::vector<FailureImpact>* per_link) {
+                                    std::vector<FailureImpact>* per_link,
+                                    FailureSweepStats* stats) {
   DRTP_OBS_SPAN("drtp.kernel.failure_sweep");
-  Ratio ratio;
+  static const obs::Counter failed_sets_counter =
+      obs::GetCounter("drtp.failure_sweep.failed_sets");
+  static const obs::Counter contended_counter =
+      obs::GetCounter("drtp.failure_sweep.contended");
   const net::Topology& topo = net.topology();
   if (per_link != nullptr) {
     per_link->assign(static_cast<std::size_t>(topo.num_links()), {});
   }
-  FailureImage& image = Image();
-  image.BuildAll(net);
+  SweepClassifier& sweep = Classifier();
+  sweep.Run(net);
+  WalkContended(net, sweep);
+  Ratio ratio;
+  FailureSweepStats counted;
   LinkId storage[2];
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
-    if (!net.IsLinkUp(l)) continue;
-    const std::span<const LinkId> failed_set = FailedSet(net, l, storage);
-    // Under duplex failures, count each physical fiber once.
-    if (failed_set.size() == 2 && failed_set[1] < l) continue;
-    const FailureImpact impact =
-        image.Evaluate(image.SlotsOn(failed_set), failed_set, nullptr);
-    ratio.AddMany(impact.activated, impact.attempts);
+  for (LinkId key = 0; key < topo.num_links(); ++key) {
+    if (sweep.set_of(key) != key) continue;
+    const SetVerdict& v = sweep.verdict(key);
+    ratio.AddMany(v.activated, v.attempts);
+    if (v.attempts > 0) {
+      ++counted.failed_sets;
+      if (v.contended) ++counted.contended;
+    }
     if (per_link != nullptr) {
-      for (LinkId f : failed_set) {
-        (*per_link)[static_cast<std::size_t>(f)] = impact;
+      for (LinkId f : FailedSet(net, key, storage)) {
+        (*per_link)[static_cast<std::size_t>(f)] = {v.attempts, v.activated};
       }
     }
   }
+#ifndef NDEBUG
+  // Every shortcut verdict must be the walk's.
+  for (LinkId key = 0; key < topo.num_links(); ++key) {
+    if (sweep.set_of(key) != key || sweep.verdict(key).contended) continue;
+    const SetVerdict& v = sweep.verdict(key);
+    const FailureImpact walked = EvaluateAffected(net, key, nullptr);
+    DRTP_CHECK_MSG(walked.attempts == v.attempts &&
+                       walked.activated == v.activated,
+                   "failure sweep shortcut diverged on link "
+                       << key << ": " << v.activated << "/" << v.attempts
+                       << " vs the walk's " << walked.activated << "/"
+                       << walked.attempts);
+  }
+#endif
+  failed_sets_counter.Add(counted.failed_sets);
+  contended_counter.Add(counted.contended);
+  if (stats != nullptr) *stats = counted;
   return ratio;
 }
 

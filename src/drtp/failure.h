@@ -53,17 +53,38 @@ struct FailureImpactDetail {
 FailureImpactDetail EvaluateLinkFailureDetailed(const DrtpNetwork& net,
                                                 LinkId failed);
 
+/// What one EvaluateAllSingleLinkFailures call decided, and how. Also
+/// added to the obs counters drtp.failure_sweep.{failed_sets,contended}.
+struct FailureSweepStats {
+  /// Failed sets (links, or duplex pairs) that disable at least one
+  /// primary.
+  int failed_sets = 0;
+  /// Of those, how many the spare-sizing bound could not decide, so the
+  /// contention walk did.
+  int contended = 0;
+};
+
 /// Aggregates EvaluateLinkFailure over every up link (each duplex pair
 /// once under duplex_failures); links that disable no primary contribute
-/// nothing. The Ratio's value() is P_bk. One ordered pass over the
-/// connection table fills a flat per-thread image that every link's
-/// evaluation reads, so the sweep allocates nothing per link.
+/// nothing. The Ratio's value() is P_bk.
+///
+/// Exact, but it skips the contention walk wherever §5's spare sizing
+/// already decides the outcome. One ordered pass over the connection
+/// table finds, per affected connection and failed set F, the first
+/// backup b* that is all-up and avoids F. If every link l of b* holds
+/// spare + free ≥ Σ_{f∈F} demand_l[f], b* activates whatever the id
+/// order. A set where some b* fails that test is contended: only those
+/// sets run the walk EvaluateLinkFailure runs, over one image of just
+/// their connections. Debug builds re-walk every other set and check
+/// the verdicts agree.
 ///
 /// When `per_link` is non-null it is resized to num_links and entry l
 /// receives EvaluateLinkFailure(net, l) for every up link l (both halves
-/// of a duplex pair get the pair's impact); down links stay zero.
+/// of a duplex pair get the pair's impact); down links stay zero. When
+/// `stats` is non-null it receives the call's FailureSweepStats.
 Ratio EvaluateAllSingleLinkFailures(
-    const DrtpNetwork& net, std::vector<FailureImpact>* per_link = nullptr);
+    const DrtpNetwork& net, std::vector<FailureImpact>* per_link = nullptr,
+    FailureSweepStats* stats = nullptr);
 
 /// Result of actually failing a link.
 struct SwitchoverReport {

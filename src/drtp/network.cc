@@ -265,6 +265,11 @@ const lsdb::Aplv& DrtpNetwork::aplv(LinkId l) const {
   return links_[static_cast<std::size_t>(l)].aplv;
 }
 
+const DemandVector& DrtpNetwork::demand(LinkId l) const {
+  DRTP_CHECK(l >= 0 && l < topo_.num_links());
+  return links_[static_cast<std::size_t>(l)].demand;
+}
+
 std::vector<ConnId> DrtpNetwork::ConnsWithPrimaryOn(LinkId l) const {
   DRTP_CHECK(l >= 0 && l < topo_.num_links());
   return primary_conns_[static_cast<std::size_t>(l)];

@@ -116,6 +116,11 @@ class DrtpNetwork {
   /// APLV of link `l`, as held by its owning router.
   const lsdb::Aplv& aplv(LinkId l) const;
 
+  /// Demand vector of link `l` (element j: the backup bandwidth failing
+  /// L_j would activate on l), as held by its owning router. Read-only,
+  /// so unlike the non-const manager() it marks nothing dirty.
+  const DemandVector& demand(LinkId l) const;
+
   /// Connections whose *primary* route traverses `l` (§2.1 PSET, keyed by
   /// connection rather than route).
   std::vector<ConnId> ConnsWithPrimaryOn(LinkId l) const;

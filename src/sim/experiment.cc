@@ -371,7 +371,8 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
       }
     }
     mark_degraded(t, report);
-    scheme.OnTopologyChanged(net);
+    // A reroute scheme already saw the failure inside ApplyLinkSetFailure.
+    if (reroute == nullptr) scheme.OnTopologyChanged(net);
     if (instant) net.PublishTo(db, t);
   };
 

@@ -98,12 +98,17 @@ std::uint64_t NetworkStateDigest(const core::DrtpNetwork& net) {
 }
 
 Engine::Engine(const net::Topology& topo, EngineOptions options)
+    : Engine(topo, options,
+             sim::MakeScheme(options.scheme, topo, options.seed)) {}
+
+Engine::Engine(const net::Topology& topo, EngineOptions options,
+               std::unique_ptr<core::RoutingScheme> scheme)
     : options_(std::move(options)),
       net_(topo, core::NetworkConfig{.spare_mode = options_.spare_mode,
                                      .duplex_failures = false}),
       db_(topo.num_links(), topo.num_links()),
-      scheme_(sim::MakeScheme(options_.scheme, net_.topology(),
-                              options_.seed)) {
+      scheme_(std::move(scheme)) {
+  DRTP_CHECK(scheme_ != nullptr);
   DRTP_CHECK(options_.num_backups >= 0);
   if (options_.audit_interval > 0) {
     auditor_ = std::make_unique<fault::Auditor>(fault::AuditorOptions{
@@ -293,7 +298,8 @@ std::string Engine::DoFailLink(const Request& req) {
       options_.num_backups > 0 ? scheme_.get() : nullptr;
   const core::SwitchoverReport report =
       core::ApplyLinkFailure(net_, req.link, now, reroute, &db_);
-  scheme_->OnTopologyChanged(net_);
+  // A reroute scheme already saw the failure inside ApplyLinkFailure.
+  if (reroute == nullptr) scheme_->OnTopologyChanged(net_);
   // Failures re-advertise immediately even mid-batch: later admissions in
   // this batch must not route onto a dead link.
   net_.PublishTo(db_, now);

@@ -104,6 +104,10 @@ struct RecoverReport {
 class Engine {
  public:
   Engine(const net::Topology& topo, EngineOptions options);
+  /// Runs `scheme` in place of sim::MakeScheme(options.scheme, ...);
+  /// options.scheme still names it in the config digest and snapshots.
+  Engine(const net::Topology& topo, EngineOptions options,
+         std::unique_ptr<core::RoutingScheme> scheme);
   ~Engine();
 
   Engine(const Engine&) = delete;

@@ -4,15 +4,23 @@
 
 #include <algorithm>
 
+#include <memory>
+#include <string>
+
 #include "common/check.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "drtp/bounded_flood.h"
 #include "drtp/dlsr.h"
 #include "drtp/failure.h"
 #include "drtp/network.h"
 #include "net/generators.h"
 #include "oracle/failure_scan.h"
+#include "sim/experiment.h"
+#include "sim/paper.h"
+#include "sim/scenario.h"
 #include "svc/engine.h"
+#include "svc/rpc.h"
 
 namespace drtp::core {
 namespace {
@@ -539,6 +547,171 @@ TEST(EvaluateApplyCrossCheck, ScanAgreesUnderContention) {
   EXPECT_EQ(indexed.attempts, scanned.attempts);
   EXPECT_EQ(indexed.activated, scanned.activated);
   EXPECT_EQ(indexed.activated, 1);
+}
+
+/// The sweep's per-link output against EvaluateLinkFailure on every link.
+void ExpectSweepMatchesPerLink(const DrtpNetwork& net,
+                               const std::vector<FailureImpact>& per_link) {
+  for (LinkId l = 0; l < net.topology().num_links(); ++l) {
+    const FailureImpact want =
+        net.IsLinkUp(l) ? EvaluateLinkFailure(net, l) : FailureImpact{};
+    EXPECT_EQ(per_link[static_cast<std::size_t>(l)].attempts, want.attempts)
+        << "link " << l;
+    EXPECT_EQ(per_link[static_cast<std::size_t>(l)].activated,
+              want.activated)
+        << "link " << l;
+  }
+}
+
+TEST(FailureSweep, SharedLinkFailureFallsThroughToSecondBackup) {
+  // Connection 1's first backup re-uses 1->2 from its primary; its second
+  // backup avoids 1->2. Failing 1->2 rules out the first backup whatever
+  // the order, so the shortcut's b* is the second one, and capacity is
+  // ample: the sweep decides every set without the walk.
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(10)));
+  const net::Topology& topo = net.topology();
+  ASSERT_TRUE(net.EstablishConnection(1, NodePath(topo, {0, 1, 2}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(1, NodePath(topo, {0, 3, 4, 1, 2}));
+  net.RegisterBackup(1, NodePath(topo, {0, 1, 4, 5, 2}));
+  const LinkId l12 = topo.FindLink(1, 2);
+
+  std::vector<FailureImpact> per_link;
+  FailureSweepStats stats;
+  const Ratio pbk = EvaluateAllSingleLinkFailures(net, &per_link, &stats);
+  EXPECT_EQ(pbk.hits, 2);
+  EXPECT_EQ(pbk.trials, 2);
+  EXPECT_EQ(stats.failed_sets, 2);
+  EXPECT_EQ(stats.contended, 0);
+  EXPECT_EQ(per_link[static_cast<std::size_t>(l12)].attempts, 1);
+  EXPECT_EQ(per_link[static_cast<std::size_t>(l12)].activated, 1);
+  ExpectSweepMatchesPerLink(net, per_link);
+
+  const SwitchoverReport report =
+      ApplyLinkFailure(net, l12, 1.0, nullptr, nullptr);
+  EXPECT_EQ(report.recovered, std::vector<ConnId>{1});
+  EXPECT_EQ(net.Find(1)->primary, NodePath(topo, {0, 1, 4, 5, 2}));
+}
+
+TEST(FailureSweep, OverbookedLinkLeavesIdOrderToTheWalk) {
+  // Connections a < b both fail over onto 0->3 when 0->1 fails, but 0->3
+  // holds one spare slot for a demand of two: the lower id wins. The
+  // bound cannot tell which one, so the set is contended and walked, and
+  // swapping the ids swaps the winner.
+  for (const bool swap : {false, true}) {
+    DrtpNetwork net(net::MakeGrid(3, 3, Mbps(2)));
+    const net::Topology& topo = net.topology();
+    const ConnId short_route = swap ? 2 : 1;
+    const ConnId long_route = swap ? 1 : 2;
+    ASSERT_TRUE(net.EstablishConnection(9, NodePath(topo, {0, 3}), Mbps(1),
+                                        0.0));
+    ASSERT_TRUE(net.EstablishConnection(short_route, NodePath(topo, {0, 1}),
+                                        Mbps(1), 0.0));
+    net.RegisterBackup(short_route, NodePath(topo, {0, 3, 4, 1}));
+    ASSERT_TRUE(net.EstablishConnection(long_route, NodePath(topo, {0, 1, 2}),
+                                        Mbps(1), 0.0));
+    net.RegisterBackup(long_route, NodePath(topo, {0, 3, 4, 5, 2}));
+    const LinkId l01 = topo.FindLink(0, 1);
+    const LinkId l03 = topo.FindLink(0, 3);
+    ASSERT_LT(net.ledger().spare(l03) + net.ledger().free(l03),
+              net.demand(l03).at(l01));
+
+    std::vector<FailureImpact> per_link;
+    FailureSweepStats stats;
+    (void)EvaluateAllSingleLinkFailures(net, &per_link, &stats);
+    EXPECT_GE(stats.contended, 1) << "swap " << swap;
+    EXPECT_LT(stats.contended, stats.failed_sets) << "swap " << swap;
+    EXPECT_EQ(per_link[static_cast<std::size_t>(l01)].attempts, 2);
+    EXPECT_EQ(per_link[static_cast<std::size_t>(l01)].activated, 1);
+    ExpectSweepMatchesPerLink(net, per_link);
+    EXPECT_EQ(EvaluateLinkFailureDetailed(net, l01).activated,
+              std::vector<ConnId>{1})
+        << "swap " << swap;
+  }
+}
+
+/// Forwards to `inner` and counts OnTopologyChanged calls into `*count`.
+class CountingScheme final : public RoutingScheme {
+ public:
+  CountingScheme(std::unique_ptr<RoutingScheme> inner, int* count)
+      : inner_(std::move(inner)), count_(count) {}
+
+  std::string name() const override { return inner_->name(); }
+  bool wants_backup() const override { return inner_->wants_backup(); }
+  RouteSelection SelectRoutes(const DrtpNetwork& net,
+                              const lsdb::LinkStateDb& db, NodeId src,
+                              NodeId dst, Bandwidth bw) override {
+    return inner_->SelectRoutes(net, db, src, dst, bw);
+  }
+  std::optional<routing::Path> SelectBackupFor(
+      const DrtpNetwork& net, const lsdb::LinkStateDb& db,
+      const routing::Path& primary, Bandwidth bw,
+      std::span<const routing::Path> avoid) override {
+    return inner_->SelectBackupFor(net, db, primary, bw, avoid);
+  }
+  void OnTopologyChanged(const DrtpNetwork& net) override {
+    ++*count_;
+    inner_->OnTopologyChanged(net);
+  }
+
+ private:
+  std::unique_ptr<RoutingScheme> inner_;
+  int* count_;
+};
+
+TEST(TopologyChange, SimulatorNotifiesTheSchemeOncePerFailure) {
+  // Every failure and repair below is enacted (InjectLinkFailures never
+  // fails a down link, and all repairs land before the horizon), so BF's
+  // distance tables must be rebuilt exactly once per event — with or
+  // without a reroute scheme.
+  const net::Topology topo = sim::MakePaperTopology(3.0, 1);
+  sim::TrafficConfig tc =
+      sim::MakePaperTraffic(sim::TrafficPattern::kUniform, 0.4, 3);
+  tc.duration = 2000.0;
+  tc.lifetime_min = 300.0;
+  tc.lifetime_max = 900.0;
+  sim::Scenario scenario = sim::Scenario::Generate(topo, tc);
+  sim::InjectLinkFailures(scenario, topo, 6, 500.0, 1200.0, 200.0, 5);
+  for (const int num_backups : {1, 0}) {
+    int count = 0;
+    CountingScheme scheme(std::make_unique<BoundedFlooding>(topo), &count);
+    sim::ExperimentConfig config;
+    config.warmup = 800.0;
+    config.num_backups = num_backups;
+    const sim::RunMetrics m =
+        sim::RunScenario(topo, scenario, scheme, config);
+    EXPECT_EQ(m.failures_enacted, 6) << "backups " << num_backups;
+    EXPECT_EQ(count, 12) << "backups " << num_backups;
+  }
+}
+
+TEST(TopologyChange, DaemonNotifiesTheSchemeOncePerFailure) {
+  const net::Topology topo = net::MakeWaxman(
+      net::WaxmanConfig{.nodes = 20, .avg_degree = 4.0, .seed = 3});
+  const auto run = [&](const std::string& method, std::int64_t id,
+                       svc::Engine& engine) {
+    const svc::DecodedRequest req = svc::DecodeRequest(
+        R"({"schema":"drtp.rpc/1","id":)" + std::to_string(id) +
+        R"(,"method":")" + method + R"(","params":{"link":0}})");
+    ASSERT_TRUE(req.ok) << req.error_detail;
+    ASSERT_EQ(engine.ExecuteBatch({&req, 1}).size(), 1u);
+  };
+  for (const int num_backups : {1, 0}) {
+    int count = 0;
+    svc::EngineOptions options;
+    options.scheme = "BF";
+    options.num_backups = num_backups;
+    svc::Engine engine(
+        topo, options,
+        std::make_unique<CountingScheme>(
+            std::make_unique<BoundedFlooding>(topo), &count));
+    run("fail-link", 1, engine);
+    run("fail-link", 2, engine);  // already down: no change
+    run("repair-link", 3, engine);
+    EXPECT_EQ(engine.stats().link_fails, 1);
+    EXPECT_EQ(engine.stats().link_repairs, 1);
+    EXPECT_EQ(count, 2) << "backups " << num_backups;
+  }
 }
 
 // Out-of-range risk-group ids reaching ApplySrlgFailure come from external

@@ -6,8 +6,9 @@
 //     fallback),
 //   - the indexed failure evaluators (sweep totals, the sweep's per-link
 //     output, per-connection verdicts on every link) must match the
-//     full-scan oracle exactly, with single and multiple backups and on a
-//     capacity-scarce grid,
+//     full-scan oracle exactly, with single and multiple backups, with
+//     dedicated spares and on a capacity-scarce grid, where the sweep
+//     decides sets both by its spare-sizing bound and by the walk,
 //   - the link->connection reverse indexes must match brute-force scans,
 //   - at every admit point the route-selection kernels must pick what
 //     their references in drtp_oracle pick: the bucket-queue primary,
@@ -17,7 +18,8 @@
 // (including the num_at_max_ fast path in RemovePrimaryLset) and the
 // down-link mirror. The CI sanitizer job runs this file under
 // ASan/UBSan in a Debug build, where PublishTo additionally self-checks
-// its incremental path against a full rewrite.
+// its incremental path against a full rewrite and the failure sweep
+// re-walks every set its bound decided.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,6 +93,10 @@ struct FailureCoverage {
   /// Affected connections that held a backup and were still dropped
   /// (every backup failed, was down or did not fit).
   std::int64_t protected_drops = 0;
+  /// Failed sets the sweep decided by its spare-sizing bound, and those
+  /// it had to walk (FailureSweepStats summed over the checks).
+  std::int64_t shortcut_sets = 0;
+  std::int64_t walked_sets = 0;
 };
 
 /// The indexed evaluators against the full-scan oracle: the sweep's
@@ -99,7 +105,10 @@ struct FailureCoverage {
 void ExpectFailureEvalMatchesScan(const DrtpNetwork& net,
                                   FailureCoverage& coverage) {
   std::vector<FailureImpact> per_link;
-  const Ratio indexed = EvaluateAllSingleLinkFailures(net, &per_link);
+  FailureSweepStats stats;
+  const Ratio indexed = EvaluateAllSingleLinkFailures(net, &per_link, &stats);
+  coverage.shortcut_sets += stats.failed_sets - stats.contended;
+  coverage.walked_sets += stats.contended;
   const Ratio scan = oracle::EvaluateAllSingleLinkFailuresScan(net);
   EXPECT_EQ(indexed.hits, scan.hits);
   EXPECT_EQ(indexed.trials, scan.trials);
@@ -202,10 +211,12 @@ void ExpectRouteKernelsAgree(const DrtpNetwork& net,
 
 /// Random admit/release/fail/repair churn with every equivalence check.
 /// Admissions register up to `num_backups` pairwise-disjoint backups.
-FailureCoverage RunRandomizedSequence(const net::Topology& topo, bool duplex,
-                                      std::uint64_t seed, int ops,
-                                      int check_every, int num_backups = 1) {
-  DrtpNetwork net(topo, NetworkConfig{.duplex_failures = duplex});
+FailureCoverage RunRandomizedSequence(
+    const net::Topology& topo, bool duplex, std::uint64_t seed, int ops,
+    int check_every, int num_backups = 1,
+    SpareMode spare_mode = SpareMode::kMultiplexed) {
+  DrtpNetwork net(topo, NetworkConfig{.spare_mode = spare_mode,
+                                      .duplex_failures = duplex});
   // db is published incrementally after every mutation; db_lagged is
   // published every few ops and must be healed by the stamp fallback
   // (each PublishTo to one db invalidates the other's stamp).
@@ -310,12 +321,26 @@ TEST(PerfEquivalence, SecondSeedSimplex) {
 }
 
 TEST(PerfEquivalence, Waxman60Churn) {
-  // The paper's evaluation substrate: 60 nodes, E ~ 3.5.
-  RunRandomizedSequence(
+  // The paper's evaluation substrate: 60 nodes, E ~ 3.5. Spare pools are
+  // sized by §5's rule here, so the sweep's bound decides most sets.
+  const FailureCoverage coverage = RunRandomizedSequence(
       net::MakeWaxman(net::WaxmanConfig{
           .nodes = 60, .avg_degree = 3.5, .link_capacity = Mbps(12),
           .seed = 31}),
       /*duplex=*/true, /*seed=*/61, /*ops=*/200, /*check_every=*/10);
+  EXPECT_GT(coverage.shortcut_sets, coverage.walked_sets);
+}
+
+TEST(PerfEquivalence, DedicatedSpareChurn) {
+  // Ablation X3's provisioning: one dedicated slot per backup, no
+  // multiplexing. The pools are larger, the evaluators must still agree.
+  for (const bool duplex : {false, true}) {
+    const FailureCoverage coverage = RunRandomizedSequence(
+        net::MakeGrid(5, 5, Mbps(6)), duplex, /*seed=*/131, /*ops=*/300,
+        /*check_every=*/10, /*num_backups=*/2, SpareMode::kDedicated);
+    EXPECT_GE(coverage.max_backups, 2u) << "duplex " << duplex;
+    EXPECT_GT(coverage.shortcut_sets, 0) << "duplex " << duplex;
+  }
 }
 
 TEST(PerfEquivalence, Hierarchical1kChurn) {
@@ -365,6 +390,9 @@ TEST(PerfEquivalence, ScarceCapacityChurn) {
     EXPECT_GE(coverage.max_backups, 2u) << "duplex " << duplex;
     EXPECT_GT(coverage.protected_drops, 0) << "duplex " << duplex;
     EXPECT_GT(coverage.credited_backups, 0) << "duplex " << duplex;
+    // Both of the sweep's deciders ran: the bound and the walk.
+    EXPECT_GT(coverage.shortcut_sets, 0) << "duplex " << duplex;
+    EXPECT_GT(coverage.walked_sets, 0) << "duplex " << duplex;
   }
 }
 

@@ -647,6 +647,10 @@ TEST_F(EngineTest, StatsMetricsOptInAttachesRegistrySnapshot) {
   EXPECT_TRUE(Get(metrics, "counters").is_object());
   EXPECT_TRUE(Get(metrics, "gauges").is_object());
   EXPECT_TRUE(Get(metrics, "histograms").is_array());
+  // The stats call's own P_bk sweep has registered its counters.
+  const JsonValue& counters = Get(metrics, "counters");
+  EXPECT_NE(counters.Find("drtp.failure_sweep.failed_sets"), nullptr);
+  EXPECT_NE(counters.Find("drtp.failure_sweep.contended"), nullptr);
 }
 
 TEST_F(EngineTest, DegradedCountTracksBackupLoss) {
