@@ -1,5 +1,6 @@
 #include "oracle/route_reference.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <functional>
@@ -131,6 +132,75 @@ routing::DijkstraTree RunDijkstraAdjList(const net::Topology& topo,
     }
   }
   return tree;
+}
+
+routing::DijkstraTree RunDijkstraInt(const net::Topology& topo, NodeId src,
+                                     IntLinkCostFn cost,
+                                     NodeId settle_until) {
+  DRTP_CHECK(src >= 0 && src < topo.num_nodes());
+  const net::Csr& csr = topo.csr();
+  const auto n = static_cast<std::size_t>(topo.num_nodes());
+  routing::DijkstraTree tree{std::vector<double>(n, routing::kInfiniteCost),
+                             std::vector<LinkId>(n, kInvalidLink)};
+  tree.dist[static_cast<std::size_t>(src)] = 0.0;
+
+  // buckets[d] is the frontier at integer distance d. Each bucket is
+  // filled unsorted, sorted descending once when its distance becomes
+  // current and drained from the back, so the settle order is ascending
+  // (dist, node) — the binary heap's pop order, hence the same tree.
+  // Zero-cost edges push into the bucket being drained; those arrivals
+  // are placed by binary search to keep the order.
+  std::vector<std::vector<NodeId>> buckets(1);
+  buckets[0].push_back(src);
+  const std::greater<NodeId> desc;
+  for (std::size_t cur = 0; cur < buckets.size(); ++cur) {
+    std::sort(buckets[cur].begin(), buckets[cur].end(), desc);
+    // Re-index every iteration: relaxations below may grow `buckets`.
+    while (!buckets[cur].empty()) {
+      const NodeId u = buckets[cur].back();
+      buckets[cur].pop_back();
+      const double d = static_cast<double>(cur);
+      if (d > tree.dist[static_cast<std::size_t>(u)]) continue;  // stale
+      if (u == settle_until) return tree;
+      const auto row = static_cast<std::size_t>(u);
+      for (std::int32_t i = csr.out_offsets[row];
+           i < csr.out_offsets[row + 1]; ++i) {
+        const LinkId l = csr.out_link_ids[static_cast<std::size_t>(i)];
+        const std::int64_t c = cost(l);
+        if (c == kInfiniteIntCost) continue;
+        DRTP_CHECK_MSG(c >= 0, "negative cost " << c << " on link " << l);
+        const auto v =
+            static_cast<std::size_t>(csr.out_heads[static_cast<std::size_t>(i)]);
+        const std::int64_t nd = static_cast<std::int64_t>(cur) + c;
+        if (static_cast<double>(nd) < tree.dist[v]) {
+          DRTP_CHECK_MSG(nd < kMaxDijkstraBuckets,
+                         "distance " << nd << " exceeds the bucket-queue "
+                                     << "range");
+          tree.dist[v] = static_cast<double>(nd);
+          tree.parent_link[v] = l;
+          const auto b = static_cast<std::size_t>(nd);
+          if (b >= buckets.size()) buckets.resize(b + 1);
+          auto& target = buckets[b];
+          const auto node = static_cast<NodeId>(v);
+          if (b == cur) {
+            target.insert(
+                std::upper_bound(target.begin(), target.end(), node, desc),
+                node);
+          } else {
+            target.push_back(node);
+          }
+        }
+      }
+    }
+  }
+  return tree;
+}
+
+std::optional<routing::Path> CheapestPathInt(const net::Topology& topo,
+                                             NodeId src, NodeId dst,
+                                             IntLinkCostFn cost) {
+  DRTP_CHECK(src != dst);
+  return RunDijkstraInt(topo, src, cost, dst).PathTo(topo, dst);
 }
 
 std::optional<routing::Path> CheapestPathMaxHopsAdjList(

@@ -5,8 +5,11 @@
 //   - RunDijkstraAdjList: the pre-CSR binary-heap Dijkstra over
 //     Node::out_links, building a full DijkstraTree (no early exit);
 //   - CheapestPathMaxHopsAdjList: the hop-bounded DP over Link records;
+//   - RunDijkstraInt / CheapestPathInt: the integer-cost bucket-queue
+//     Dijkstra (Dial's algorithm) the min-hop primary ran on before the
+//     BFS;
 //   - SelectPrimaryMinHopBinaryHeap: min-hop primary on the double-cost
-//     heap instead of the bucket queue;
+//     heap instead of the BFS;
 //   - FloodReference and the two selections over its CRT: bounded
 //     flooding with a node list per CDP, a deque and a hash-map PCT, and
 //     candidates scored through sorted LSET copies.
@@ -15,6 +18,8 @@
 // bench/micro_engine times the pairs.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -35,6 +40,30 @@ namespace drtp::oracle {
 /// std::priority_queue.
 routing::DijkstraTree RunDijkstraAdjList(const net::Topology& topo,
                                          NodeId src, routing::LinkCostFn cost);
+
+/// Integer link costs for the bucket-queue kernel. Return
+/// kInfiniteIntCost to forbid the link.
+using IntLinkCostFn = FunctionRef<std::int64_t(LinkId)>;
+
+inline constexpr std::int64_t kInfiniteIntCost =
+    std::numeric_limits<std::int64_t>::max();
+
+/// The bucket-queue kernel indexes a bucket per distinct distance value;
+/// a relaxation past this many buckets is refused (CHECK).
+inline constexpr std::int64_t kMaxDijkstraBuckets = std::int64_t{1} << 22;
+
+/// Integer-cost Dijkstra on a monotone bucket queue (Dial's algorithm):
+/// routing::RunDijkstra's tree for the same costs, zero-cost edges
+/// included. `settle_until` != kInvalidNode stops the run once that node
+/// is settled; only PathTo(settle_until) may then be read.
+routing::DijkstraTree RunDijkstraInt(const net::Topology& topo, NodeId src,
+                                     IntLinkCostFn cost,
+                                     NodeId settle_until = kInvalidNode);
+
+/// Cheapest src->dst path on RunDijkstraInt with early exit at `dst`.
+std::optional<routing::Path> CheapestPathInt(const net::Topology& topo,
+                                             NodeId src, NodeId dst,
+                                             IntLinkCostFn cost);
 
 /// routing::CheapestPathMaxHops, reading endpoints from the Link records.
 std::optional<routing::Path> CheapestPathMaxHopsAdjList(

@@ -47,11 +47,6 @@ void DrtpNetwork::MarkDirty(LinkId l) {
   }
 }
 
-bool DrtpNetwork::IsLinkUp(LinkId l) const {
-  DRTP_CHECK(l >= 0 && l < topo_.num_links());
-  return link_up_[static_cast<std::size_t>(l)] != 0;
-}
-
 void DrtpNetwork::MarkLinkUpDown(LinkId l, bool up) {
   auto& state = link_up_[static_cast<std::size_t>(l)];
   if ((state != 0) == up) return;

@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "drtp/connection.h"
 #include "drtp/manager.h"
@@ -50,7 +51,10 @@ class DrtpNetwork {
 
   // ---- link state -------------------------------------------------------
 
-  bool IsLinkUp(LinkId l) const;
+  bool IsLinkUp(LinkId l) const {
+    DRTP_CHECK(l >= 0 && l < topo_.num_links());
+    return link_up_[static_cast<std::size_t>(l)] != 0;
+  }
   /// Marks the link (and, under duplex_failures, its reverse) down. Does
   /// not touch connections — that is the failure engine's job. Idempotent.
   void SetLinkDown(LinkId l);

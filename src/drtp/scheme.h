@@ -159,23 +159,24 @@ int ProtectConnection(RoutingScheme& scheme, DrtpNetwork& net,
                       const lsdb::LinkStateDb& db, ConnId id, int count);
 
 /// Shared helper: minimum-hop primary over links advertising enough free
-/// bandwidth (used by both LSR schemes; §2.2 step 1). Unit costs are
-/// integers, so this runs on the bucket-queue Dijkstra with early exit at
-/// the destination — the identical route the binary-heap kernel picks.
+/// bandwidth (used by both LSR schemes; §2.2 step 1). Runs the
+/// level-synchronous BFS (routing::MinHopPathWith) with the bandwidth test
+/// inlined, stopping when the destination is discovered — the identical
+/// route Dijkstra over unit costs picks.
 std::optional<routing::Path> SelectPrimaryMinHop(const net::Topology& topo,
                                                  const lsdb::LinkStateDb& db,
                                                  NodeId src, NodeId dst,
                                                  Bandwidth bw);
 
 namespace detail {
-/// The search SelectBackupLsr runs once its Eq. 4/5 cost is built.
+/// A route search over a backup cost (see SelectBackupLsrWith).
 using BackupSearchFn =
     FunctionRef<std::optional<routing::Path>(routing::LinkCostFn)>;
 
 /// SelectBackupLsr with the search handed in: builds the same per-request
-/// cost and returns `search(cost)`. SelectBackupLsr passes the early-exit
-/// Dijkstra (or the hop-bounded DP); differential tests pass a full-tree
-/// run and compare routes.
+/// Eq. 4/5 cost SelectBackupLsr searches and returns `search(cost)`.
+/// SelectBackupLsr itself runs the Dijkstra kernel instantiated on that
+/// cost; differential tests pass a reference search and compare routes.
 std::optional<routing::Path> SelectBackupLsrWith(
     const net::Topology& topo, const lsdb::LinkStateDb& db,
     const routing::LinkSet& primary, Bandwidth bw, bool deterministic,

@@ -3,15 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-// The x86-64 baseline has no POPCNT instruction, so std::popcount there
-// is a libgcc call per word. A clone compiled for popcnt is picked at load
-// time on CPUs that have it; both clones count the same integers.
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(__POPCNT__)
-#define DRTP_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
-#else
-#define DRTP_POPCNT_CLONES
-#endif
-
 namespace drtp::lsdb {
 
 DRTP_POPCNT_CLONES int ConflictVector::PopCount() const {
@@ -30,12 +21,7 @@ int ConflictVector::CountIn(const routing::LinkSet& lset) const {
 
 DRTP_POPCNT_CLONES int ConflictVector::AndPopCount(
     std::span<const std::uint64_t> mask) const {
-  const std::size_t n = std::min(words_.size(), mask.size());
-  int count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    count += std::popcount(words_[i] & mask[i]);
-  }
-  return count;
+  return AndPopCountInline(mask);
 }
 
 bool operator==(const ConflictVector& a, const ConflictVector& b) {

@@ -6,6 +6,8 @@
 // in its CV.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -13,6 +15,16 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "routing/path.h"
+
+// The x86-64 baseline has no POPCNT instruction, so std::popcount there
+// is a libgcc call per word. DRTP_POPCNT_CLONES compiles a function twice,
+// once for popcnt and once for the baseline, and the loader picks the
+// popcnt clone on CPUs that have it; both clones count the same integers.
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__POPCNT__)
+#define DRTP_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
+#else
+#define DRTP_POPCNT_CLONES
+#endif
 
 namespace drtp::lsdb {
 
@@ -74,10 +86,22 @@ class ConflictVector {
 
   /// Word-wise CountIn: popcount of the AND against a precomputed bitmask
   /// (same word layout as words(), bit j = link L_j). Equivalent to
-  /// CountIn over the lset the mask encodes, at ~64 links per cycle;
-  /// SelectBackupLsr builds the primary's mask once per request and scores
-  /// every candidate link with this.
+  /// CountIn over the lset the mask encodes, at ~64 links per cycle.
   int AndPopCount(std::span<const std::uint64_t> mask) const;
+
+  /// AndPopCount's loop, inlined into the caller. SelectBackupLsr builds
+  /// the primary's mask once per request and scores every candidate link
+  /// with this from a search compiled as DRTP_POPCNT_CLONES, so the popcnt
+  /// instruction runs in its own loop instead of a call per link.
+  [[gnu::always_inline]] int AndPopCountInline(
+      std::span<const std::uint64_t> mask) const {
+    const std::size_t n = std::min(words_.size(), mask.size());
+    int count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      count += std::popcount(words_[i] & mask[i]);
+    }
+    return count;
+  }
 
   /// The raw bit words, least-significant bit of word 0 = link 0. Wide
   /// vectors may return fewer than (size()+63)/64 words — the elided tail

@@ -1,7 +1,6 @@
 #include "routing/dijkstra.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/check.h"
 #include "obs/span.h"
@@ -30,147 +29,19 @@ std::optional<Path> ExtractPath(const net::Topology& topo, NodeId dst,
   return Path::FromLinks(topo, std::move(links));
 }
 
-}  // namespace
-
-namespace detail {
-
-/// The actual algorithm, shared by the timed and untimed entries below.
-/// noinline so the hot loop's codegen is bit-identical whether or not obs
-/// spans are compiled in — the span object would otherwise stay live
-/// across the loop and shift register allocation, which costs more than
-/// the span itself (see docs/OBSERVABILITY.md).
-///
-/// Walks the CSR rows: link id and head node come from two flat arrays
-/// in out_links insertion order, so the relaxation sequence — and every
-/// tie-break — matches the adjacency-list reference in drtp_oracle.
+/// The FunctionRef instantiation of the kernel, shared by the timed and
+/// untimed entries of RunDijkstra. noinline so the hot loop's codegen is
+/// bit-identical whether or not obs spans are compiled in — the span
+/// object would otherwise stay live across the loop and shift register
+/// allocation, which costs more than the span itself (see
+/// docs/OBSERVABILITY.md).
 [[gnu::noinline]] void RunDijkstraLoop(const net::Topology& topo, NodeId src,
                                        LinkCostFn cost, DijkstraWorkspace& ws,
                                        NodeId settle_until) {
-  DRTP_CHECK(src >= 0 && src < topo.num_nodes());
-  const net::Csr& csr = topo.csr();
-  ws.Prepare(topo.num_nodes());
-  ws.Relax(src, 0.0, kInvalidLink);
-
-  // Manual heap over the reused buffer; push_back+push_heap / pop_heap+
-  // pop_back is exactly how std::priority_queue is specified, so the pop
-  // order (and therefore every tie-break) matches the allocating variant.
-  auto& heap = ws.heap_;
-  heap.clear();
-  heap.emplace_back(0.0, src);
-  const std::greater<> cmp;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    const auto [d, u] = heap.back();
-    heap.pop_back();
-    if (d > ws.Dist(u)) continue;  // stale
-    if (u == settle_until) return;  // final: see RunDijkstra
-    const auto row = static_cast<std::size_t>(u);
-    const std::int32_t begin = csr.out_offsets[row];
-    const std::int32_t end = csr.out_offsets[row + 1];
-    for (std::int32_t i = begin; i < end; ++i) {
-      const LinkId l = csr.out_link_ids[static_cast<std::size_t>(i)];
-      const double c = cost(l);
-      if (c == kInfiniteCost) continue;
-      DRTP_CHECK_MSG(c >= 0.0, "negative cost " << c << " on link " << l);
-      const NodeId v = csr.out_heads[static_cast<std::size_t>(i)];
-      const double nd = d + c;
-      if (nd < ws.Dist(v)) {
-        ws.Relax(v, nd, l);
-        heap.emplace_back(nd, v);
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      }
-    }
-  }
+  detail::DijkstraSearch(topo, src, cost, ws, settle_until);
 }
 
-/// Monotone bucket queue (Dial): buckets_[d] is the frontier at integer
-/// distance d, drained in ascending node id so the settle order is
-/// ascending (dist, node) — the same total order the binary heap pops,
-/// hence the same tree bit for bit. Distances are stored in the shared
-/// double dist_ array (integers below 2^53 are exact), so Dist/ParentLink/
-/// PathTo read both kernels' results identically.
-///
-/// Each bucket is filled unsorted (O(1) push), sorted descending once when
-/// its distance becomes current, and drained from the back — one sort per
-/// bucket instead of a heap operation per element, which is what buys the
-/// speedup over the binary heap at BFS-sized frontiers. Zero-cost edges
-/// are the one wrinkle: they push into the bucket being drained, where a
-/// plain push_back would break the ascending-id order, so those (rare)
-/// arrivals are placed by binary search instead.
-[[gnu::noinline]] void RunDijkstraLoopInt(const net::Topology& topo,
-                                          NodeId src, IntLinkCostFn cost,
-                                          DijkstraWorkspace& ws,
-                                          NodeId settle_until) {
-  DRTP_CHECK(src >= 0 && src < topo.num_nodes());
-  const net::Csr& csr = topo.csr();
-  ws.Prepare(topo.num_nodes());
-  ws.Relax(src, 0.0, kInvalidLink);
-
-  auto& buckets = ws.buckets_;
-  if (buckets.empty()) buckets.resize(1);
-  buckets[0].push_back(src);
-  std::int64_t max_filled = 0;
-  const std::greater<NodeId> desc;
-  for (std::int64_t cur = 0; cur <= max_filled; ++cur) {
-    {
-      auto& bucket = buckets[static_cast<std::size_t>(cur)];
-      std::sort(bucket.begin(), bucket.end(), desc);
-    }
-    // Re-index every iteration: relaxations below may grow `buckets` and
-    // invalidate references into it (zero-cost edges re-enter this bucket).
-    while (!buckets[static_cast<std::size_t>(cur)].empty()) {
-      auto& bucket = buckets[static_cast<std::size_t>(cur)];
-      const NodeId u = bucket.back();
-      bucket.pop_back();
-      const double d = static_cast<double>(cur);
-      if (d > ws.Dist(u)) continue;  // stale
-      if (u == settle_until) {
-        // Settled: the parent chain to u is final. Drain the arena so the
-        // next run starts clean without deallocating bucket storage.
-        for (std::int64_t b = cur; b <= max_filled; ++b) {
-          buckets[static_cast<std::size_t>(b)].clear();
-        }
-        return;
-      }
-      const auto row = static_cast<std::size_t>(u);
-      const std::int32_t begin = csr.out_offsets[row];
-      const std::int32_t end = csr.out_offsets[row + 1];
-      for (std::int32_t i = begin; i < end; ++i) {
-        const LinkId l = csr.out_link_ids[static_cast<std::size_t>(i)];
-        const std::int64_t c = cost(l);
-        if (c == kInfiniteIntCost) continue;
-        DRTP_CHECK_MSG(c >= 0, "negative cost " << c << " on link " << l);
-        const NodeId v = csr.out_heads[static_cast<std::size_t>(i)];
-        const std::int64_t nd = cur + c;
-        if (static_cast<double>(nd) < ws.Dist(v)) {
-          DRTP_CHECK_MSG(nd < kMaxDijkstraBuckets,
-                         "distance " << nd << " exceeds the bucket-queue "
-                                     << "range; use the binary-heap kernel "
-                                     << "for wide-range costs");
-          ws.Relax(v, static_cast<double>(nd), l);
-          if (nd > max_filled) {
-            max_filled = nd;
-            if (static_cast<std::size_t>(nd) >= buckets.size()) {
-              buckets.resize(static_cast<std::size_t>(nd) + 1);
-            }
-          }
-          auto& target = buckets[static_cast<std::size_t>(nd)];
-          if (nd == cur) {
-            // Zero-cost edge into the bucket being drained: keep the
-            // descending order so back-pops stay ascending — exactly when
-            // the binary heap would pop (cur, v) next among the remaining.
-            target.insert(
-                std::upper_bound(target.begin(), target.end(), v, desc), v);
-          } else {
-            target.push_back(v);
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace detail
+}  // namespace
 
 std::optional<Path> DijkstraTree::PathTo(const net::Topology& topo,
                                          NodeId dst) const {
@@ -210,26 +81,11 @@ void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
   thread_local std::uint32_t tick = 0;
   if ((tick++ & 63u) == 0) {
     DRTP_OBS_SPAN("drtp.kernel.dijkstra");
-    detail::RunDijkstraLoop(topo, src, cost, ws, settle_until);
+    RunDijkstraLoop(topo, src, cost, ws, settle_until);
     return;
   }
 #endif
-  detail::RunDijkstraLoop(topo, src, cost, ws, settle_until);
-}
-
-void RunDijkstraInt(const net::Topology& topo, NodeId src, IntLinkCostFn cost,
-                    DijkstraWorkspace& ws, NodeId settle_until) {
-#ifndef DRTP_OBS_DISABLED
-  // Sampled 1-in-64 like the double kernel: same innermost position on the
-  // admission hot path, same codegen-isolation split.
-  thread_local std::uint32_t tick = 0;
-  if ((tick++ & 63u) == 0) {
-    DRTP_OBS_SPAN("drtp.kernel.dijkstra_int");
-    detail::RunDijkstraLoopInt(topo, src, cost, ws, settle_until);
-    return;
-  }
-#endif
-  detail::RunDijkstraLoopInt(topo, src, cost, ws, settle_until);
+  RunDijkstraLoop(topo, src, cost, ws, settle_until);
 }
 
 DijkstraTree RunDijkstra(const net::Topology& topo, NodeId src,
@@ -255,26 +111,18 @@ std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
 std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
                                  NodeId dst, LinkCostFn cost,
                                  DijkstraWorkspace& ws) {
+  DRTP_CHECK(dst >= 0 && dst < topo.num_nodes());
   DRTP_CHECK(src != dst);
   RunDijkstra(topo, src, cost, ws, dst);
-  return ws.PathTo(topo, dst);
-}
-
-std::optional<Path> CheapestPathInt(const net::Topology& topo, NodeId src,
-                                    NodeId dst, IntLinkCostFn cost,
-                                    DijkstraWorkspace& ws) {
-  DRTP_CHECK(src != dst);
-  RunDijkstraInt(topo, src, cost, ws, dst);
   return ws.PathTo(topo, dst);
 }
 
 std::optional<Path> MinHopPath(const net::Topology& topo, NodeId src,
                                NodeId dst,
                                FunctionRef<bool(LinkId)> usable) {
-  return CheapestPath(topo, src, dst, [&](LinkId l) {
-    if (usable && !usable(l)) return kInfiniteCost;
-    return 1.0;
-  });
+  DijkstraWorkspace ws;
+  return MinHopPathWith(
+      topo, src, dst, [&](LinkId l) { return !usable || usable(l); }, ws);
 }
 
 }  // namespace drtp::routing

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -52,10 +53,10 @@ struct CellResult {
   sim::RunMetrics metrics;
   /// Wall-clock spent replaying this cell, seconds.
   double wall_seconds = 0.0;
-  /// Per-cell obs counter deltas ((name, count), sorted, nonzero only):
-  /// the cell thread's drtp.sim.* / drtp.kernel.* counts captured around
-  /// the replay. Deterministic — a cell runs single-threaded, so the
-  /// thread-shard delta is exactly the cell's own event counts.
+  /// Per-cell obs counter deltas ((name, count), sorted, nonzero only)
+  /// of the counters on kResultObsTags, captured around the replay.
+  /// Deterministic — a cell runs single-threaded, so the thread-shard
+  /// delta is exactly the cell's own event counts.
   std::vector<std::pair<std::string, std::int64_t>> obs_counters;
   /// fault::Auditor results when the sweep ran with audit enabled:
   /// full audits performed, invariant violations observed, and the
@@ -63,6 +64,35 @@ struct CellResult {
   std::int64_t audit_checks = 0;
   std::int64_t audit_violations = 0;
   std::string audit_jsonl;
+};
+
+/// The obs counters a result line may carry under "obs", sorted by name;
+/// docs/RUNNER.md lists them too. A line holds those its cell bumped.
+/// The list is fixed so that a counter added anywhere else leaves every
+/// result line's bytes unchanged: a tag joins the lines only by being
+/// added here.
+inline constexpr std::string_view kResultObsTags[] = {
+    "drtp.failure_sweep.contended",
+    "drtp.failure_sweep.failed_sets",
+    "drtp.lsdb.publish_full",
+    "drtp.lsdb.publish_incremental",
+    "drtp.sim.admits",
+    "drtp.sim.backup_breaks",
+    "drtp.sim.backups_reestablished",
+    "drtp.sim.blocks",
+    "drtp.sim.degraded",
+    "drtp.sim.drops",
+    "drtp.sim.failovers",
+    "drtp.sim.link_fails",
+    "drtp.sim.link_repairs",
+    "drtp.sim.node_fails",
+    "drtp.sim.node_repairs",
+    "drtp.sim.releases",
+    "drtp.sim.reprotect_retries",
+    "drtp.sim.reprotects",
+    "drtp.sim.requests",
+    "drtp.sim.srlg_fails",
+    "drtp.sim.srlg_repairs",
 };
 
 class ResultSink {

@@ -1,5 +1,6 @@
 #include "runner/sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <sstream>
@@ -195,6 +196,10 @@ CellResult SweepEngine::RunCell(const Cell& cell, obs::TraceSink* trace) {
   const obs::ThreadCounterBaseline baseline;
   r.metrics = sim::RunScenario(topo, scenario, *scheme, ec);
   r.obs_counters = baseline.Delta();
+  std::erase_if(r.obs_counters, [](const auto& counter) {
+    return std::ranges::find(kResultObsTags, counter.first) ==
+           std::end(kResultObsTags);
+  });
   r.wall_seconds = MonotonicSeconds() - t0;
   if (auditor != nullptr) {
     r.audit_checks = auditor->checks();

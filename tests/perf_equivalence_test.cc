@@ -146,23 +146,24 @@ std::vector<LinkId> LinksOf(const routing::Path& p) {
 
 /// At an admit point, the rewritten kernels must pick exactly the routes
 /// their retained reference implementations pick against the same state:
-/// bucket-queue min-hop primary vs the binary-heap formulation, the two
-/// Eq. 5 conflict-scoring strategies against each other, the early-exit
-/// backup search against the full tree's path under the same Eq. 4/5
-/// cost, and BF's arena flood against the node-list flood. `conn`, when
+/// BFS min-hop primary vs the binary-heap formulation, the two Eq. 5
+/// conflict-scoring strategies against each other, the early-exit backup
+/// search (the kernel instantiated on the Eq. 4/5 cost) against the
+/// adjacency-list reference's full tree under the same cost, and BF's
+/// arena flood against the node-list flood. `conn`, when
 /// set, is re-protected by BF with its backups as routes to avoid.
 void ExpectRouteKernelsAgree(const DrtpNetwork& net,
                              const lsdb::LinkStateDb& db, BoundedFlooding& bf,
                              NodeId src, NodeId dst,
                              const DrConnection* conn) {
   const net::Topology& topo = net.topology();
-  const auto radix = SelectPrimaryMinHop(topo, db, src, dst, Mbps(1));
+  const auto bfs = SelectPrimaryMinHop(topo, db, src, dst, Mbps(1));
   const auto binary =
       oracle::SelectPrimaryMinHopBinaryHeap(topo, db, src, dst, Mbps(1));
-  ASSERT_EQ(radix.has_value(), binary.has_value()) << src << "->" << dst;
-  if (radix.has_value()) {
-    ASSERT_EQ(LinksOf(*radix), LinksOf(*binary)) << src << "->" << dst;
-    const routing::LinkSet primary = radix->ToLinkSet();
+  ASSERT_EQ(bfs.has_value(), binary.has_value()) << src << "->" << dst;
+  if (bfs.has_value()) {
+    ASSERT_EQ(LinksOf(*bfs), LinksOf(*binary)) << src << "->" << dst;
+    const routing::LinkSet primary = bfs->ToLinkSet();
     const auto mask =
         SelectBackupLsr(topo, db, primary, src, dst, Mbps(1),
                         /*deterministic=*/true, {}, 0, CvScoring::kMask);
@@ -176,10 +177,13 @@ void ExpectRouteKernelsAgree(const DrtpNetwork& net,
     for (const bool deterministic : {true, false}) {
       const auto early = SelectBackupLsr(topo, db, primary, src, dst,
                                          Mbps(1), deterministic);
+      // The full adjacency-list tree of drtp_oracle, under the same
+      // Eq. 4/5 cost: an independent kernel, not the templated one.
       const auto full = detail::SelectBackupLsrWith(
           topo, db, primary, Mbps(1), deterministic, {}, CvScoring::kAuto,
           SrlgMode::kOff, [&](routing::LinkCostFn cost) {
-            return routing::RunDijkstra(topo, src, cost).PathTo(topo, dst);
+            return oracle::RunDijkstraAdjList(topo, src, cost)
+                .PathTo(topo, dst);
           });
       ASSERT_EQ(early, full) << src << "->" << dst << " deterministic "
                              << deterministic;

@@ -7,6 +7,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "drtp/scheme.h"
+#include "lsdb/link_state_db.h"
 #include "net/generators.h"
 #include "oracle/route_reference.h"
 #include "routing/bellman_ford.h"
@@ -248,7 +250,7 @@ std::vector<std::int64_t> RandomIntCosts(const Topology& t, Rng& rng) {
   std::vector<std::int64_t> costs(static_cast<std::size_t>(t.num_links()));
   for (auto& c : costs) {
     if (rng.Bernoulli(0.08)) {
-      c = kInfiniteIntCost;
+      c = oracle::kInfiniteIntCost;
     } else if (rng.Bernoulli(0.15)) {
       c = 0;
     } else {
@@ -268,15 +270,8 @@ void ExpectSameTree(const Topology& t, const DijkstraWorkspace& a,
   }
 }
 
-void ExpectSameTree(const Topology& t, const DijkstraWorkspace& a,
-                    const DijkstraWorkspace& b, const char* what) {
-  for (NodeId v = 0; v < t.num_nodes(); ++v) {
-    ASSERT_EQ(a.Dist(v), b.Dist(v)) << what << ": dist diverged at " << v;
-    ASSERT_EQ(a.ParentLink(v), b.ParentLink(v))
-        << what << ": parent diverged at " << v;
-  }
-}
-
+// The bucket-queue kernel lives in drtp_oracle since the min-hop primary
+// moved to the BFS; these pin it to the production binary heap.
 TEST(DijkstraInt, BucketKernelMatchesBinaryHeapTree) {
   for (std::uint64_t seed : {1u, 5u, 9u, 13u}) {
     const Topology t = MakeWaxman(net::WaxmanConfig{
@@ -288,15 +283,14 @@ TEST(DijkstraInt, BucketKernelMatchesBinaryHeapTree) {
     };
     const auto dcost = [&](LinkId l) -> double {
       const std::int64_t c = costs[static_cast<std::size_t>(l)];
-      return c == kInfiniteIntCost ? kInfiniteCost
-                                   : static_cast<double>(c);
+      return c == oracle::kInfiniteIntCost ? kInfiniteCost
+                                           : static_cast<double>(c);
     };
-    DijkstraWorkspace bucket;
     DijkstraWorkspace heap;
     for (NodeId src = 0; src < t.num_nodes(); src += 11) {
-      RunDijkstraInt(t, src, icost, bucket);
+      const DijkstraTree bucket = oracle::RunDijkstraInt(t, src, icost);
       RunDijkstra(t, src, dcost, heap);
-      ExpectSameTree(t, bucket, heap, "int-vs-heap");
+      ExpectSameTree(t, heap, bucket, "int-vs-heap");
     }
   }
 }
@@ -309,17 +303,14 @@ TEST(DijkstraInt, EarlyExitPathEqualsFullRunPath) {
   const auto icost = [&](LinkId l) {
     return costs[static_cast<std::size_t>(l)];
   };
-  DijkstraWorkspace early;
-  DijkstraWorkspace full;
   for (int i = 0; i < 40; ++i) {
     const NodeId src =
         static_cast<NodeId>(rng.Index(static_cast<std::size_t>(t.num_nodes())));
     NodeId dst =
         static_cast<NodeId>(rng.Index(static_cast<std::size_t>(t.num_nodes())));
     if (dst == src) dst = (dst + 1) % t.num_nodes();
-    const auto fast = CheapestPathInt(t, src, dst, icost, early);
-    RunDijkstraInt(t, src, icost, full);
-    const auto ref = full.PathTo(t, dst);
+    const auto fast = oracle::CheapestPathInt(t, src, dst, icost);
+    const auto ref = oracle::RunDijkstraInt(t, src, icost).PathTo(t, dst);
     ASSERT_EQ(fast.has_value(), ref.has_value()) << src << "->" << dst;
     if (fast.has_value()) {
       EXPECT_EQ(LinksOf(*fast), LinksOf(*ref)) << src << "->" << dst;
@@ -329,18 +320,100 @@ TEST(DijkstraInt, EarlyExitPathEqualsFullRunPath) {
 
 TEST(DijkstraInt, NegativeCostRejected) {
   const Topology t = MakeGrid(2, 2, Mbps(1));
-  DijkstraWorkspace ws;
   EXPECT_THROW(
-      RunDijkstraInt(t, 0, [](LinkId) { return std::int64_t{-1}; }, ws),
+      oracle::RunDijkstraInt(t, 0, [](LinkId) { return std::int64_t{-1}; }),
       CheckError);
 }
 
 TEST(DijkstraInt, RefusesCostsBeyondBucketRange) {
   const Topology t = MakeGrid(2, 2, Mbps(1));
-  DijkstraWorkspace ws;
-  EXPECT_THROW(
-      RunDijkstraInt(t, 0, [](LinkId) { return kMaxDijkstraBuckets; }, ws),
-      CheckError);
+  EXPECT_THROW(oracle::RunDijkstraInt(
+                   t, 0, [](LinkId) { return oracle::kMaxDijkstraBuckets; }),
+               CheckError);
+}
+
+/// A random directed graph: every node offers up to three out-links to
+/// random heads, and the last node has no links at all.
+Topology RandomDigraph(Rng& rng, int nodes) {
+  Topology t;
+  for (int i = 0; i < nodes; ++i) t.AddNode();
+  const auto wired = static_cast<std::size_t>(nodes - 1);
+  for (NodeId u = 0; u < nodes - 1; ++u) {
+    for (int k = 0; k < 3; ++k) {
+      const auto v = static_cast<NodeId>(rng.Index(wired));
+      if (v != u && t.FindLink(u, v) == kInvalidLink) t.AddLink(u, v, Mbps(1));
+    }
+  }
+  return t;
+}
+
+// The search kernels against the independent references on graphs built
+// for ties: costs in {0, 1, 2} (many equal distances, zero-cost edges)
+// and, for the min-hop primary, links that are down or lack bandwidth.
+TEST(RouteKernels, TiedGraphsMatchReferences) {
+  int adjacent = 0;
+  int detoured = 0;
+  int unreachable = 0;
+  for (std::uint64_t seed : {3u, 4u, 5u, 6u}) {
+    Rng rng(seed * 31 + 7);
+    const Topology t = RandomDigraph(rng, 40);
+    std::vector<double> costs(static_cast<std::size_t>(t.num_links()));
+    for (auto& c : costs) c = static_cast<double>(rng.Index(3));
+    const auto cost = [&](LinkId l) {
+      return costs[static_cast<std::size_t>(l)];
+    };
+    DijkstraWorkspace ws;
+    for (NodeId src = 0; src < t.num_nodes(); src += 3) {
+      const DijkstraTree ref = oracle::RunDijkstraAdjList(t, src, cost);
+      detail::DijkstraSearch(t, src, cost, ws, kInvalidNode);
+      ExpectSameTree(t, ws, ref, "templated-vs-adjlist");
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+        if (dst == src) continue;
+        const auto fast = CheapestPathWith(t, src, dst, cost, ws);
+        const auto want = ref.PathTo(t, dst);
+        ASSERT_EQ(fast.has_value(), want.has_value()) << src << "->" << dst;
+        if (fast.has_value()) {
+          ASSERT_EQ(LinksOf(*fast), LinksOf(*want)) << src << "->" << dst;
+        }
+      }
+    }
+
+    // Min-hop primary: the BFS against the binary-heap reference.
+    lsdb::LinkStateDb db(t.num_links(), t.num_links());
+    for (LinkId l = 0; l < t.num_links(); ++l) {
+      lsdb::LinkRecord& rec = db.record(l);
+      rec.up = !rng.Bernoulli(0.1);
+      rec.free_for_primary = rng.Bernoulli(0.15) ? Mbps(0) : Mbps(2);
+    }
+    const auto usable = [&](LinkId l) {
+      return l != kInvalidLink && db.record(l).up &&
+             db.record(l).free_for_primary >= Mbps(1);
+    };
+    for (NodeId src = 0; src < t.num_nodes(); ++src) {
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+        if (dst == src) continue;
+        const auto bfs = core::SelectPrimaryMinHop(t, db, src, dst, Mbps(1));
+        const auto heap =
+            oracle::SelectPrimaryMinHopBinaryHeap(t, db, src, dst, Mbps(1));
+        ASSERT_EQ(bfs.has_value(), heap.has_value()) << src << "->" << dst;
+        if (!bfs.has_value()) {
+          ++unreachable;
+          continue;
+        }
+        ASSERT_EQ(LinksOf(*bfs), LinksOf(*heap)) << src << "->" << dst;
+        const LinkId direct = t.FindLink(src, dst);
+        if (usable(direct)) {
+          ASSERT_EQ(bfs->hops(), 1) << src << "->" << dst;
+          ++adjacent;
+        } else if (direct != kInvalidLink) {
+          ++detoured;  // the direct link is down or lacks bandwidth
+        }
+      }
+    }
+  }
+  EXPECT_GT(adjacent, 0);
+  EXPECT_GT(detoured, 0);
+  EXPECT_GT(unreachable, 0);
 }
 
 TEST(DijkstraCsr, MatchesAdjacencyListReference) {

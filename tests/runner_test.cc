@@ -19,6 +19,8 @@
 
 #include "common/check.h"
 #include "common/json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runner/sink.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
@@ -369,6 +371,38 @@ TEST(SweepEngineTest, HierModelTagsJsonlWaxmanStaysUntagged) {
   while (std::getline(win, line)) {
     EXPECT_EQ(line.find("\"model\""), std::string::npos) << line;
   }
+}
+
+/// Bumps a counter that is not on kResultObsTags at every trace record:
+/// instrumentation added inside a cell.
+class UnlistedCounterSink : public obs::TraceSink {
+ public:
+  void Write(const obs::TraceEvent&) override {
+    counter_.Add();
+    ++writes;
+  }
+  int writes = 0;
+
+ private:
+  obs::Counter counter_ = obs::GetCounter("drtp.test.unlisted");
+};
+
+TEST(SweepEngineTest, CounterOffTheTagListLeavesLinesUnchanged) {
+  SweepSpec spec = TinySpec();
+  spec.lambdas = {0.4};
+  spec.schemes = {"D-LSR"};
+  SweepEngine engine(spec);
+  const Cell cell = engine.Cells()[0];
+  CellResult plain = engine.RunCell(cell);
+  UnlistedCounterSink bumper;
+  CellResult bumped = engine.RunCell(cell, &bumper);
+  ASSERT_GT(bumper.writes, 0);
+#ifndef DRTP_OBS_DISABLED
+  EXPECT_FALSE(plain.obs_counters.empty());  // listed tags still ride along
+#endif
+  plain.wall_seconds = 0.0;
+  bumped.wall_seconds = 0.0;
+  EXPECT_EQ(CellResultToJson(plain), CellResultToJson(bumped));
 }
 
 TEST(SweepEngineTest, FailingCellRethrowsFromRun) {
