@@ -51,7 +51,7 @@ ModeResult RunTrials(const net::Topology& topo, int target, int trials,
     // Fail a random link that carries at least one primary.
     std::vector<LinkId> loaded;
     for (LinkId l = 0; l < topo.num_links(); ++l) {
-      if (!net.ConnsWithPrimaryOn(l).empty()) loaded.push_back(l);
+      if (!net.PrimaryConnsOn(l).empty()) loaded.push_back(l);
     }
     if (loaded.empty()) continue;
     const LinkId victim = loaded[rng.Index(loaded.size())];

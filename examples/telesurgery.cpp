@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   LinkId busiest = 0;
   std::size_t most = 0;
   for (LinkId l = 0; l < net.topology().num_links(); ++l) {
-    const auto count = net.ConnsWithPrimaryOn(l).size();
+    const auto count = net.PrimaryConnsOn(l).size();
     if (count > most) {
       most = count;
       busiest = l;

@@ -73,9 +73,11 @@ TEST_F(NetworkTest, RegisterBackupWiresAplvsAlongRoute) {
     EXPECT_EQ(net_.aplv(l).L1(), 2);  // two primary links registered
     EXPECT_EQ(net_.ledger().spare(l), Mbps(1));
   }
-  EXPECT_EQ(net_.ConnsWithPrimaryOn(net_.topology().FindLink(0, 1)),
+  const auto on_primary = net_.PrimaryConnsOn(net_.topology().FindLink(0, 1));
+  const auto on_backup = net_.BackupConnsOn(net_.topology().FindLink(0, 3));
+  EXPECT_EQ(std::vector<ConnId>(on_primary.begin(), on_primary.end()),
             std::vector<ConnId>{1});
-  EXPECT_EQ(net_.ConnsWithBackupOn(net_.topology().FindLink(0, 3)),
+  EXPECT_EQ(std::vector<ConnId>(on_backup.begin(), on_backup.end()),
             std::vector<ConnId>{1});
   net_.CheckConsistency();
 }
@@ -233,6 +235,55 @@ TEST_F(NetworkTest, IncrementalPublishRewritesOnlyChangedLinks) {
   ExpectPublishRewritesExactly(net, db, links_of(backup4));
   net.RegisterBackup(4, backup4);
   ExpectPublishRewritesExactly(net, db, links_of(backup4));
+  net.CheckConsistency();
+}
+
+TEST_F(NetworkTest, ReleasesReconcileExactlyTheLinksTheyTouch) {
+  // 3x3 grid of 3 Mbps links. The backups of connections 1, 4 and 7 share
+  // 0->1, where primaries 2 and 3 leave 1 Mbps for a 2 Mbps target
+  // (demand 2 from failing 0->3 and 2 from failing 3->6), so 0->1 is
+  // listed overbooked.
+  DrtpNetwork net(net::MakeGrid(3, 3, Mbps(3)));
+  const net::Topology& topo = net.topology();
+  const auto link = [&](NodeId a, NodeId b) { return topo.FindLink(a, b); };
+  ASSERT_TRUE(net.EstablishConnection(1, NodePath(topo, {0, 3, 6}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(1, NodePath(topo, {0, 1, 4, 7, 6}));
+  ASSERT_TRUE(net.EstablishConnection(2, NodePath(topo, {0, 1}), Mbps(1),
+                                      0.0));
+  ASSERT_TRUE(net.EstablishConnection(3, NodePath(topo, {0, 1}), Mbps(1),
+                                      0.0));
+  ASSERT_TRUE(net.EstablishConnection(4, NodePath(topo, {3, 6}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(4, NodePath(topo, {3, 0, 1, 4, 7, 6}));
+  ASSERT_TRUE(net.EstablishConnection(5, NodePath(topo, {5, 8}), Mbps(1),
+                                      0.0));
+  ASSERT_TRUE(net.EstablishConnection(7, NodePath(topo, {0, 3}), Mbps(1),
+                                      0.0));
+  net.RegisterBackup(7, NodePath(topo, {0, 1, 4, 3}));
+  ASSERT_EQ(net.OverbookedLinks(), std::vector<LinkId>{link(0, 1)});
+  net.CheckConsistency();
+
+  // An unrelated release frees nothing on 0->1: it stays listed.
+  net.ReleaseConnection(5);
+  ASSERT_EQ(net.OverbookedLinks(), std::vector<LinkId>{link(0, 1)});
+  net.CheckConsistency();
+
+  // Releasing a primary on 0->1 grows its pool to target and unlists it.
+  net.ReleaseConnection(2);
+  EXPECT_EQ(net.ledger().spare(link(0, 1)), Mbps(2));
+  EXPECT_TRUE(net.OverbookedLinks().empty());
+  net.CheckConsistency();
+
+  // Activating 4's backup with 7->6 down: releasing it leaves 0->1's
+  // target at 2 Mbps (connection 7 still demands it there), so the
+  // promotion raids the pool on 0->1 and lists it, then fails at 7->6
+  // and rolls back. The rolled-back bandwidth must refill that pool.
+  net.SetLinkDown(link(7, 6));
+  EXPECT_FALSE(net.ActivateBackup(4, 1.0));
+  EXPECT_EQ(net.Find(4), nullptr);
+  EXPECT_EQ(net.ledger().spare(link(0, 1)), Mbps(2));
+  EXPECT_TRUE(net.OverbookedLinks().empty());
   net.CheckConsistency();
 }
 

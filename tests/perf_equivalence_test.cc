@@ -77,8 +77,14 @@ void ExpectIndexesMatchBruteForce(const DrtpNetwork& net) {
         }
       }
     }
-    EXPECT_EQ(net.ConnsWithPrimaryOn(l), primaries) << "link " << l;
-    EXPECT_EQ(net.ConnsWithBackupOn(l), backups) << "link " << l;
+    const auto on_primary = net.PrimaryConnsOn(l);
+    const auto on_backup = net.BackupConnsOn(l);
+    EXPECT_EQ(std::vector<ConnId>(on_primary.begin(), on_primary.end()),
+              primaries)
+        << "link " << l;
+    EXPECT_EQ(std::vector<ConnId>(on_backup.begin(), on_backup.end()),
+              backups)
+        << "link " << l;
   }
 }
 
