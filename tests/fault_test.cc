@@ -201,6 +201,56 @@ TEST(Auditor, DetectsFabricatedBackupRegistration) {
   EXPECT_NE(os.str().find("\"t\":1"), std::string::npos);
 }
 
+// A listed overbooked link whose pool meets its target is stale: releases
+// reconcile only the links they touch and would never revisit it. Build
+// one by freeing spare on a listed link behind the network's back, in a
+// state that is otherwise consistent: a forged registration raises l34's
+// target before a real backup overbooks it, and is then released through
+// the manager alone.
+TEST(Auditor, FlagsStaleOverbookedListing) {
+  core::DrtpNetwork net(net::MakeGrid(3, 3, Mbps(2)));
+  const net::Topology& topo = net.topology();
+  auto path = [&](std::vector<NodeId> nodes) {
+    auto p = routing::Path::FromNodes(topo, nodes);
+    DRTP_CHECK(p.has_value());
+    return *p;
+  };
+  const LinkId l34 = topo.FindLink(3, 4);
+  core::DrConnectionManager& owner = net.manager(topo.link(l34).src);
+  core::BackupRegisterPacket forged;
+  forged.conn_id = 999;
+  forged.bw = Mbps(1);
+  forged.primary_lset = path({0, 1}).ToLinkSet();
+  owner.RegisterBackupHop(l34, forged);
+
+  // Demand on link 0->1 is now 1 + 2 Mbps against 2 Mbps of capacity.
+  ASSERT_TRUE(net.EstablishConnection(1, path({0, 1, 2}), Mbps(2), 0.0));
+  net.RegisterBackup(1, path({0, 3, 4, 5, 2}));
+  ASSERT_EQ(net.OverbookedLinks(), std::vector<LinkId>{l34});
+
+  core::BackupReleasePacket release;
+  release.conn_id = forged.conn_id;
+  release.bw = forged.bw;
+  release.primary_lset = forged.primary_lset;
+  owner.ReleaseBackupHop(l34, release);
+  ASSERT_EQ(net.ledger().spare(l34), owner.SpareTarget(l34));
+  ASSERT_EQ(net.OverbookedLinks(), std::vector<LinkId>{l34});
+
+  Auditor auditor;
+  auditor.Check(net, 1.0, "corruption", nullptr);
+  ASSERT_EQ(auditor.violations().size(), 1u);
+  EXPECT_EQ(auditor.violations()[0].invariant, "spare.overbooked_stale");
+  EXPECT_EQ(auditor.violations()[0].link, l34);
+  try {
+    net.CheckConsistency();
+    ADD_FAILURE() << "CheckConsistency accepted a stale overbooked listing";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("listed overbooked but meets target"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Auditor, StrideSkipsRoutineEventsButAlwaysAuditsFailures) {
   core::DrtpNetwork net(net::MakeGrid(3, 3, Mbps(2)));
   AuditorOptions ao;

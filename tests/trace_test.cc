@@ -311,7 +311,7 @@ TEST_P(ChurnWithFailures, InvariantsHold) {
                      active.end());
       }
     } else if (op >= 8) {  // repair a random down link
-      const auto down = net.DownLinks();
+      const std::vector<LinkId> down = net.down_links();
       if (!down.empty()) {
         net.SetLinkUp(down[rng.Index(down.size())]);
         --failures;
