@@ -1,8 +1,10 @@
 // One per-link protection-count vector under the APLV (§2.1), its per-SRLG
 // aggregate and the bandwidth-weighted demand vector that sizes the §5
 // spare pool (max_j demand[j], the general form of max_j APLV[j] × bw).
-// It keeps its total, its maximum and how many elements hold the maximum,
-// so a removal rescans only when the last holder was decremented.
+// It keeps its total, its maximum and how many elements hold the maximum.
+// A removal of the maximum's last holder defers the rescan to the next read
+// (only the spare target reads maxima per hop, and only the demand's), so
+// Max() writes a cache: one vector is never read from two threads at once.
 //
 // Storage is a dense array at paper scale (num_links <= kWideLinkThreshold)
 // and a sorted struct-of-arrays pair (keys_, vals_) of the nonzero elements
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -46,8 +49,14 @@ class CountVector {
   std::int64_t total() const { return total_; }
 
   /// max_j at(j), and how many elements equal it (both 0 when all are 0).
-  T Max() const { return max_; }
-  std::int32_t num_at_max() const { return num_at_max_; }
+  T Max() const {
+    Resolve();
+    return max_;
+  }
+  std::int32_t num_at_max() const {
+    Resolve();
+    return num_at_max_;
+  }
 
   /// Number of nonzero elements.
   std::int32_t nonzero() const { return nonzero_; }
@@ -83,22 +92,6 @@ class CountVector {
         }
       }
     }
-    // The maximum can drop only when its last holder was decremented. The
-    // rescan is one pass over locals: the running maximum rarely rises, so
-    // that branch predicts well, and holders are counted without a branch.
-    if (max_ > 0 && num_at_max_ == 0) {
-      T m = 0;
-      std::int32_t n = 0;
-      for (const T c : wide_ ? vals_ : dense_) {
-        if (c > m) {
-          m = c;
-          n = 0;
-        }
-        n += c == m ? 1 : 0;
-      }
-      max_ = m;
-      num_at_max_ = m > 0 ? n : 0;
-    }
   }
 
   /// Σ_{j ∈ ids} at(j) for a sorted id list.
@@ -120,9 +113,36 @@ class CountVector {
     return sum;
   }
 
-  friend bool operator==(const CountVector&, const CountVector&) = default;
+  friend bool operator==(const CountVector& a, const CountVector& b) {
+    a.Resolve();
+    b.Resolve();
+    const auto fields = [](const CountVector& v) {
+      return std::tie(v.size_, v.wide_, v.dense_, v.keys_, v.vals_, v.total_,
+                      v.max_, v.num_at_max_, v.nonzero_);
+    };
+    return fields(a) == fields(b);
+  }
 
  private:
+  /// max_ > 0 with num_at_max_ == 0 marks a strict upper bound of every
+  /// element, which Bump and SubAll keep (a Bump reaching it is its only
+  /// holder). The rescan is one pass over locals: the running maximum rarely
+  /// rises, so that branch predicts well, and holders count branch-free.
+  void Resolve() const {
+    if (max_ == 0 || num_at_max_ != 0) return;
+    T m = 0;
+    std::int32_t n = 0;
+    for (const T c : wide_ ? vals_ : dense_) {
+      if (c > m) {
+        m = c;
+        n = 0;
+      }
+      n += c == m ? 1 : 0;
+    }
+    max_ = m;
+    num_at_max_ = m > 0 ? n : 0;
+  }
+
   void CheckInRange(std::int32_t j) const {
     DRTP_CHECK_MSG(j >= 0 && j < size_,
                    "element " << j << " outside the " << size_
@@ -176,8 +196,8 @@ class CountVector {
   std::vector<std::int32_t> keys_;  // sparse: sorted nonzero indices
   std::vector<T> vals_;             // sparse: values, parallel to keys_
   std::int64_t total_ = 0;
-  T max_ = 0;
-  std::int32_t num_at_max_ = 0;
+  mutable T max_ = 0;  // resolved on read, see Resolve()
+  mutable std::int32_t num_at_max_ = 0;
   std::int32_t nonzero_ = 0;
 };
 

@@ -160,9 +160,10 @@ TEST(AplvProperty, IncrementalMatchesRecompute) {
 
 /// Differential churn over RAW link lists — repeats and arbitrary order
 /// allowed, unlike MakeLinkSet's sorted/deduped output — comparing
-/// Max(), L1() and num_at_max() against a naive recount every step. A
-/// repeated link exercises the multiplicity accounting in both the
-/// decrement loop and the rescan.
+/// Max(), L1() and num_at_max() against a naive recount. A repeated link
+/// exercises the multiplicity accounting in both the decrement loop and
+/// the rescan. Odd seeds read the maximum only every seventh step, so
+/// adds and removals also land while its rescan is still deferred.
 TEST(AplvProperty, DifferentialChurnWithRepeatedLinks) {
   constexpr int kLinks = 16;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -206,6 +207,7 @@ TEST(AplvProperty, DifferentialChurnWithRepeatedLinks) {
         }
       }
       ASSERT_EQ(a.L1(), l1) << "seed " << seed << " step " << step;
+      if (seed % 2 == 1 && step % 7 != 0) continue;
       ASSERT_EQ(a.Max(), mx) << "seed " << seed << " step " << step;
       ASSERT_EQ(a.num_at_max(), at_max)
           << "seed " << seed << " step " << step;
@@ -350,6 +352,29 @@ TYPED_TEST(CountVectorProperty, WideMatchesRecount) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     CountVectorChurn<TypeParam>(kWideLinkThreshold + 300, seed);
   }
+}
+
+/// A removal of the maximum's last holder defers the rescan to the next
+/// read. Equality must see the resolved maximum, and an add that reaches
+/// the deferred bound leaves its element the only holder.
+TEST(CountVector, DeferredMaximumResolvesForEqualityAndAdds) {
+  using Ids = std::vector<std::int32_t>;
+  CountVector<std::int32_t> a(4, 4);
+  a.AddAll(Ids{0, 1, 1}, 1);  // {1, 2, 0, 0}
+  a.SubAll(Ids{1}, 1);        // {1, 1, 0, 0}, maximum not yet rescanned
+  CountVector<std::int32_t> b(4, 4);
+  b.AddAll(Ids{0, 1}, 1);
+  EXPECT_EQ(a, b);
+
+  CountVector<std::int32_t> c(4, 4);
+  c.AddAll(Ids{0, 1, 1}, 1);
+  c.SubAll(Ids{1}, 1);
+  c.AddAll(Ids{0}, 1);  // {2, 1, 0, 0}
+  EXPECT_EQ(c.Max(), 2);
+  EXPECT_EQ(c.num_at_max(), 1);
+  c.SubAll(Ids{0, 0, 1}, 1);  // all zero, deferred again
+  EXPECT_EQ(c, CountVector<std::int32_t>(4, 4));
+  EXPECT_EQ(c.Max(), 0);
 }
 
 // ---- ConflictVector ---------------------------------------------------------
